@@ -17,7 +17,7 @@ from math import gcd
 
 from .congruence import FREE, MEM, MEM3, Mode, normal_form
 from .errors import MissingBindingError, OpenTermError, SignatureError
-from .normalform import BasicForm, Leaf, Node, enumerate_mem_basic, render
+from .normalform import BasicForm, Forest, enumerate_mem_basic, render
 from .syntax import (
     BINARY_TYPES, Atom, Cond, Const, Not, Term, Var, atoms_of, is_closed,
     parse, vars_of,
@@ -164,113 +164,11 @@ def check_schema(schema: Schema, mode: Mode, strategy: str = "fresh_atoms",
 # Exhaustive sweep
 # ---------------------------------------------------------------------------
 
-class _Forest:
-    """Hash-consed decision trees with memoized normalization steps.
-
-    Trees are integer ids; leaves get ids 0..2.  All operations cache on
-    ids, so repeated instantiations of a schema share nearly all work and,
-    under memorising congruence, every value stays inside the finite
-    universe of mem-basic forms over the sweep alphabet.
-    """
-
-    # Free-mode sweeps can produce millions of distinct instantiations;
-    # beyond this many memo entries, results are recomputed instead of
-    # stored (the per-subtree caches underneath keep that cheap).
-    CACHE_MAX = 3_000_000
-
-    def __init__(self):
-        self._ids: dict[tuple, int] = {}
-        self._rev: list[tuple] = []
-        self.T = self._put(("leaf", "T"))
-        self.F = self._put(("leaf", "F"))
-        self.U = self._put(("leaf", "U"))
-        self._subst: dict[tuple[int, int, int], int] = {}
-        self._mf: dict[int, int] = {}
-        self._reduce: dict[tuple[int, str, bool], int] = {}
-        self._combine_mem: dict[tuple[int, int, int], int] = {}
-
-    def _put(self, key: tuple) -> int:
-        i = self._ids.get(key)
-        if i is None:
-            i = len(self._rev)
-            self._ids[key] = i
-            self._rev.append(key)
-        return i
-
-    def node(self, atom: str, on_true: int, on_false: int) -> int:
-        return self._put((atom, on_true, on_false))
-
-    def from_tree(self, tree: BasicForm) -> int:
-        if isinstance(tree, Leaf):
-            return {"T": self.T, "F": self.F, "U": self.U}[tree.value]
-        return self.node(tree.atom, self.from_tree(tree.on_true),
-                         self.from_tree(tree.on_false))
-
-    def to_tree(self, i: int) -> BasicForm:
-        key = self._rev[i]
-        if key[0] == "leaf":
-            return Leaf(key[1])
-        return Node(key[0], self.to_tree(key[1]), self.to_tree(key[2]))
-
-    def subst(self, p: int, q: int, r: int) -> int:
-        if p == self.T:
-            return q
-        if p == self.F:
-            return r
-        if p == self.U:
-            return p
-        key = (p, q, r)
-        out = self._subst.get(key)
-        if out is None:
-            atom, pt, pf = self._rev[p]
-            out = self.node(atom, self.subst(pt, q, r), self.subst(pf, q, r))
-            if len(self._subst) < self.CACHE_MAX:
-                self._subst[key] = out
-        return out
-
-    def reduce(self, p: int, atom: str, assume: bool) -> int:
-        key = self._rev[p]
-        if key[0] == "leaf":
-            return p
-        ck = (p, atom, assume)
-        out = self._reduce.get(ck)
-        if out is None:
-            if key[0] == atom:
-                out = self.reduce(key[1] if assume else key[2], atom, assume)
-            else:
-                out = self.node(key[0], self.reduce(key[1], atom, assume),
-                                self.reduce(key[2], atom, assume))
-            self._reduce[ck] = out
-        return out
-
-    def mf(self, p: int) -> int:
-        key = self._rev[p]
-        if key[0] == "leaf":
-            return p
-        out = self._mf.get(p)
-        if out is None:
-            atom = key[0]
-            out = self.node(atom, self.mf(self.reduce(key[1], atom, True)),
-                            self.mf(self.reduce(key[2], atom, False)))
-            self._mf[p] = out
-        return out
-
-    def combine_free(self, c: int, t: int, e: int) -> int:
-        """Basic form of (t <| c |> e), all arguments normalized."""
-        v = self.subst(c, t, e)
-        if len(self._subst) < self.CACHE_MAX:
-            self._subst[(c, t, e)] = v
-        return v
-
-    def combine_mem(self, c: int, t: int, e: int) -> int:
-        """Mem-basic form of (t <| c |> e), all arguments normalized."""
-        v = self.mf(self.subst(c, t, e))
-        if len(self._combine_mem) < self.CACHE_MAX:
-            self._combine_mem[(c, t, e)] = v
-        return v
-
-
-_FOREST = _Forest()
+# One forest for every sweep in the process.  Its tables cache on ids, so
+# repeated instantiations share nearly all work and, under memorising
+# congruence, every value stays inside the finite universe of mem-basic
+# forms over the sweep alphabet.
+_FOREST = Forest()
 
 # Fixed multipliers for the per-variable domain permutations of a truncated
 # sweep; chosen coprime to the domain size at use.
@@ -285,7 +183,7 @@ def _permutation(j: int, size: int) -> list[int]:
     return [(a * i + b) % size for i in range(size)]
 
 
-def _compile(term: Term, var_order: list[str], forest: _Forest,
+def _compile(term: Term, var_order: list[str], forest: Forest,
              nodes: list[tuple], index: dict[Term, int]) -> int:
     """Flatten a core term into a shared postfix node list."""
     if term in index:

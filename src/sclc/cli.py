@@ -116,19 +116,13 @@ def _cmd_norm(args) -> int:
 
 def _cmd_eq(args) -> int:
     mode = _mode(args)
-    left = congruence.normal_form(parse(_read_expr(args.expr)), mode)
-    right = congruence.normal_form(parse(_read_expr(args.expr2)), mode)
-
-    def show(tree) -> str:
-        if getattr(args, "json", False):
-            return json.dumps(normalform.to_json(tree), separators=(", ", ": "))
-        return print_term(render(tree), "unicode")
-
-    if left == right:
-        print(show(left))
+    forest = normalform.Forest()
+    left = congruence.normal_form(parse(_read_expr(args.expr)), mode, forest)
+    right = congruence.normal_form(parse(_read_expr(args.expr2)), mode, forest)
+    _emit_tree(left, args)
+    if left is right:  # one forest: equal forms are one object
         return 0
-    print(show(left))
-    print(show(right))
+    _emit_tree(right, args)
     return 1
 
 

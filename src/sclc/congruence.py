@@ -13,7 +13,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import OpenTermError, UnboundAtomError
-from .normalform import LEAF_T, LEAF_F, LEAF_U, BasicForm, Leaf, Node, bf, mbf
+from .normalform import LEAF_T, LEAF_F, LEAF_U, BasicForm, Forest, Leaf, Node, bf, mbf
 from .syntax import (
     And, Atom, Cond, Const, Iff, Nand, Nor, Not, Or, Term, Var, Xor,
 )
@@ -41,16 +41,17 @@ class TruthValue3(enum.Enum):
     UNDEF = "U"
 
 
-def normal_form(term: Term, mode: Mode) -> BasicForm:
-    """The mode's canonical tree for a closed term."""
+def normal_form(term: Term, mode: Mode, forest: Forest | None = None) -> BasicForm:
+    """The mode's canonical tree for a closed term; forest as in bf()."""
     if mode.congruence == "free":
-        return bf(term)
-    return mbf(term).tree
+        return bf(term, forest=forest)
+    return mbf(term, forest=forest).tree
 
 
 def equiv(p: Term, q: Term, mode: Mode) -> bool:
     """Decide derivability of p = q in the mode's axiom system."""
-    return normal_form(p, mode) == normal_form(q, mode)
+    forest = Forest()
+    return normal_form(p, mode, forest) is normal_form(q, mode, forest)
 
 
 def evaluate(term: Term, valuation: Mapping[str, bool]) -> TruthValue3:

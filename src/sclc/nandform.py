@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantError, OpenTermError, UnsupportedConnective
 from .normalform import BasicForm, Leaf, LEAF_T, LEAF_F, LEAF_U, MemBasicForm, Node
+from .normalform import is_mem_basic
 from .syntax import Atom, Const, Nand, Term, TT, Var
 
 
@@ -25,18 +26,7 @@ class NNode:
 Munbf = Leaf | NNode
 
 
-def is_munbf(p: Munbf) -> bool:
-    """True iff each node's atom is absent from both of its subtrees."""
-    if isinstance(p, Leaf):
-        return True
-    return (p.atom not in _atoms(p.on_true) and p.atom not in _atoms(p.on_false)
-            and is_munbf(p.on_true) and is_munbf(p.on_false))
-
-
-def _atoms(p: Munbf) -> set[str]:
-    if isinstance(p, Leaf):
-        return set()
-    return {p.atom} | _atoms(p.on_true) | _atoms(p.on_false)
+is_munbf = is_mem_basic
 
 
 def assume(p: Munbf, atom: str, value: bool) -> Munbf:

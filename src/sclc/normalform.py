@@ -4,7 +4,11 @@ A basic form is a binary decision tree: leaves T/F (and U in the
 three-valued setting), internal nodes labelled by atoms, where the left
 child is the true-branch.  bf() normalizes any closed term to a basic form
 (free congruence); mbf() additionally strips repeated atoms from every
-root-to-leaf path (memorising congruence).
+root-to-leaf path (memorising congruence).  These are the basic forms of
+Bergstra and Ponse, "Proposition algebra" (ACM TOCL 12(3), 2011).
+
+Both run on a Forest, a hash-consed DAG of decision nodes; Node objects
+are built only for the result, one per distinct subtree.
 """
 
 from __future__ import annotations
@@ -57,48 +61,162 @@ class MemBasicForm:
             raise InvariantError("tree violates the mem-basic path invariant")
 
 
+class Forest:
+    """Hash-consed decision DAG with memoized normalization steps: trees
+    are integer ids, the leaves T, F and U are 0, 1 and 2.  A BDD unique
+    table (Bryant, IEEE TC 1986), but nodes are only shared, never merged:
+    T <| a |> T keeps its a.  Per node, a bitmask of the atoms at and below
+    it lets reduce() skip subtrees without its atom."""
+
+    # Free-mode sweeps can produce millions of distinct instantiations;
+    # beyond this many memo entries, results are recomputed instead of
+    # stored (the per-subtree caches underneath keep that cheap).
+    CACHE_MAX = 3_000_000
+    T, F, U = 0, 1, 2
+
+    def __init__(self):
+        self._ids: dict[tuple[str, int, int], int] = {}
+        self._rev: list[tuple[str, int, int] | None] = [None, None, None]
+        self._mask: list[int] = [0, 0, 0]
+        self._bits: dict[str, int] = {}
+        self._trees: dict[int, BasicForm] = {0: LEAF_T, 1: LEAF_F, 2: LEAF_U}
+        self._subst: dict[tuple[int, int, int], int] = {}
+        self._mf: dict[int, int] = {}
+        self._reduce: dict[tuple[int, str, bool], int] = {}
+        self._combine_mem: dict[tuple[int, int, int], int] = {}
+
+    def node(self, atom: str, on_true: int, on_false: int) -> int:
+        key = (atom, on_true, on_false)
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self._rev)
+            self._rev.append(key)
+            bit = self._bits.setdefault(atom, 1 << len(self._bits))
+            self._mask.append(bit | self._mask[on_true] | self._mask[on_false])
+        return i
+
+    def from_tree(self, t: BasicForm, seen: dict[int, int] | None = None) -> int:
+        if isinstance(t, Leaf):
+            return "TFU".index(t.value)
+        seen = {} if seen is None else seen  # id() of a Node -> its id here
+        if id(t) not in seen:
+            seen[id(t)] = self.node(t.atom, self.from_tree(t.on_true, seen),
+                                    self.from_tree(t.on_false, seen))
+        return seen[id(t)]
+
+    def to_tree(self, i: int) -> BasicForm:
+        """One Node object per distinct id: equal subtrees are shared."""
+        if i not in self._trees:
+            atom, t, f = self._rev[i]
+            self._trees[i] = Node(atom, self.to_tree(t), self.to_tree(f))
+        return self._trees[i]
+
+    def fold(self, core: Term) -> int:
+        """Free basic form of a to_core result, threading the pending
+        true/false continuations down as eval_tree does: linear on chains.
+        Memoized on id(subterm), which holds while the caller keeps core."""
+        memo: dict[tuple[int, int, int], int] = {}
+
+        def go(t: Term, k_true: int, k_false: int) -> int:
+            if isinstance(t, Cond):
+                key = (id(t), k_true, k_false)
+                out = memo.get(key)
+                if out is None:
+                    out = memo[key] = go(t.cond, go(t.then, k_true, k_false),
+                                         go(t.orelse, k_true, k_false))
+                return out
+            if isinstance(t, Atom):
+                return self.node(t.name, k_true, k_false)
+            return k_true if t.value == "T" else k_false if t.value == "F" else self.U
+
+        return go(core, self.T, self.F)
+
+    def subst(self, p: int, q: int, r: int) -> int:
+        if p < 3:
+            return (q, r, p)[p]
+        key = (p, q, r)
+        out = self._subst.get(key)
+        if out is None:
+            atom, pt, pf = self._rev[p]
+            out = self.node(atom, self.subst(pt, q, r), self.subst(pf, q, r))
+            if len(self._subst) < self.CACHE_MAX:
+                self._subst[key] = out
+        return out
+
+    def reduce(self, p: int, atom: str, assume: bool) -> int:
+        if not self._mask[p] & self._bits.get(atom, 0):
+            return p
+        key = (p, atom, assume)
+        out = self._reduce.get(key)
+        if out is None:
+            a, t, f = self._rev[p]
+            if a == atom:
+                out = self.reduce(t if assume else f, atom, assume)
+            else:
+                out = self.node(a, self.reduce(t, atom, assume),
+                                self.reduce(f, atom, assume))
+            self._reduce[key] = out
+        return out
+
+    def mf(self, p: int) -> int:
+        if p < 3:
+            return p
+        out = self._mf.get(p)
+        if out is None:
+            atom, t, f = self._rev[p]
+            out = self._mf[p] = self.node(atom, self.mf(self.reduce(t, atom, True)),
+                                          self.mf(self.reduce(f, atom, False)))
+        return out
+
+    def combine_free(self, c: int, t: int, e: int) -> int:
+        """Basic form of (t <| c |> e), all arguments normalized."""
+        v = self.subst(c, t, e)
+        if len(self._subst) < self.CACHE_MAX:
+            self._subst[(c, t, e)] = v
+        return v
+
+    def combine_mem(self, c: int, t: int, e: int) -> int:
+        """Mem-basic form of (t <| c |> e), all arguments normalized."""
+        v = self.mf(self.subst(c, t, e))
+        if len(self._combine_mem) < self.CACHE_MAX:
+            self._combine_mem[(c, t, e)] = v
+        return v
+
+
 def subst_tf(p: BasicForm, q: BasicForm, r: BasicForm) -> BasicForm:
     """Replace every T leaf of p by q and every F leaf by r.
 
     U leaves are fixed points: once evaluation is undefined the pending
     branches are discarded, which is what makes x <| U |> y collapse to U.
     """
-    if isinstance(p, Leaf):
-        if p.value == "T":
-            return q
-        if p.value == "F":
-            return r
-        return p
-    return Node(p.atom, subst_tf(p.on_true, q, r), subst_tf(p.on_false, q, r))
+    f = Forest()
+    return f.to_tree(f.subst(f.from_tree(p), f.from_tree(q), f.from_tree(r)))
 
 
-def _bf_core(t: Term) -> BasicForm:
-    # t contains only constants, atoms and Cond (to_core output).
-    if isinstance(t, Cond):
-        return subst_tf(_bf_core(t.cond), _bf_core(t.then), _bf_core(t.orelse))
-    if isinstance(t, Atom):
-        return Node(t.name, LEAF_T, LEAF_F)
-    return Leaf(t.value)
-
-
-def _guard(term: Term, depth_limit: int) -> None:
+def _normalize(term: Term, depth_limit: int, forest: Forest | None,
+               mem: bool) -> BasicForm:
+    if not is_closed(term):
+        raise OpenTermError("bf requires a closed term")
     if term_depth(term) > depth_limit:
         raise DepthLimitError(f"term depth exceeds limit {depth_limit}")
     # The recursion below is bounded by the depth of the trees built, which
     # can exceed the input depth (though not the input size); give it room.
     if sys.getrecursionlimit() < depth_limit + 2_000:
         sys.setrecursionlimit(depth_limit + 2_000)
-
-
-def bf(term: Term, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> BasicForm:
-    """Normalize a closed term to its basic form (free congruence)."""
-    if not is_closed(term):
-        raise OpenTermError("bf requires a closed term")
-    _guard(term, depth_limit)
+    forest = Forest() if forest is None else forest
     try:
-        return _bf_core(to_core(term))
+        free = forest.fold(to_core(term))
+        return forest.to_tree(forest.mf(free) if mem else free)
     except RecursionError:
-        raise DepthLimitError("basic form grew past the recursion guard") from None
+        raise DepthLimitError("normal form grew past the recursion guard") from None
+
+
+def bf(term: Term, depth_limit: int = DEFAULT_DEPTH_LIMIT,
+       forest: Forest | None = None) -> BasicForm:
+    """Normalize a closed term to its basic form (free congruence).  The
+    result shares equal subtrees.  Forms normalized in one forest are equal
+    iff they are the same object; by default each call has its own."""
+    return _normalize(term, depth_limit, forest, mem=False)
 
 
 def reduce(p: BasicForm, atom: str, assume: bool) -> BasicForm:
@@ -107,45 +225,44 @@ def reduce(p: BasicForm, atom: str, assume: bool) -> BasicForm:
     assume=True keeps true-branches (left-a-reduction), assume=False keeps
     false-branches (right-a-reduction); other nodes are rebuilt as is.
     """
-    if isinstance(p, Leaf):
-        return p
-    if p.atom == atom:
-        return reduce(p.on_true if assume else p.on_false, atom, assume)
-    return Node(p.atom, reduce(p.on_true, atom, assume),
-                reduce(p.on_false, atom, assume))
+    f = Forest()
+    return f.to_tree(f.reduce(f.from_tree(p), atom, assume))
 
 
 def mf(p: BasicForm) -> BasicForm:
     """Strip repeated atoms below each node, making the tree mem-basic."""
-    if isinstance(p, Leaf):
-        return p
-    return Node(p.atom, mf(reduce(p.on_true, p.atom, True)),
-                mf(reduce(p.on_false, p.atom, False)))
+    f = Forest()
+    return f.to_tree(f.mf(f.from_tree(p)))
 
 
-def mbf(term: Term, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> MemBasicForm:
-    """Normalize a closed term under memorising congruence."""
-    tree = bf(term, depth_limit)
-    try:
-        return MemBasicForm(mf(tree))
-    except RecursionError:
-        raise DepthLimitError("mem-basic form grew past the recursion guard") from None
+def mbf(term: Term, depth_limit: int = DEFAULT_DEPTH_LIMIT,
+        forest: Forest | None = None) -> MemBasicForm:
+    """Normalize a closed term under memorising congruence: one mf pass
+    over the free DAG.  Sharing as in bf()."""
+    return MemBasicForm(_normalize(term, depth_limit, forest, mem=True))
 
 
 def is_mem_basic(p: BasicForm) -> bool:
-    """True iff no root-to-leaf path inspects the same atom twice."""
+    """True iff no node's atom occurs below it, i.e. no root-to-leaf path
+    inspects an atom twice.  Linear in the distinct nodes of p."""
+    below: dict[int, int] = {}  # id() of a checked node -> atoms at and below it
+    bits: dict[str, int] = {}
 
-    def walk(t: BasicForm, path: set[str]) -> bool:
+    def atoms(t: BasicForm, path: int) -> int:
+        # -1 if not mem-basic; ending at a repeat on the path bounds the depth.
         if isinstance(t, Leaf):
-            return True
-        if t.atom in path:
-            return False
-        path.add(t.atom)
-        ok = walk(t.on_true, path) and walk(t.on_false, path)
-        path.remove(t.atom)
-        return ok
+            return 0
+        if id(t) not in below:
+            bit = bits.setdefault(t.atom, 1 << len(bits))
+            if path & bit:
+                return -1
+            lo, hi = atoms(t.on_true, path | bit), atoms(t.on_false, path | bit)
+            if lo < 0 or hi < 0 or (lo | hi) & bit:
+                return -1
+            below[id(t)] = lo | hi | bit
+        return below[id(t)]
 
-    return walk(p, set())
+    return atoms(p, 0) >= 0
 
 
 def render(p: BasicForm) -> Term:

@@ -10,7 +10,8 @@ from sclc.nandform import (
     nand_nf, render_nand, to_munbf, to_json,
 )
 from sclc.normalform import (
-    LEAF_F, LEAF_T, LEAF_U, Node, enumerate_mem_basic, mbf, mf, reduce,
+    LEAF_F, LEAF_T, LEAF_U, Node, enumerate_mem_basic, is_mem_basic, mbf, mf,
+    reduce,
 )
 from sclc.syntax import Atom, And, Nand, TT, UU, Var, atoms_of, parse
 from sclc.translate import decode_nand, to_core
@@ -140,6 +141,15 @@ class TestHelpers:
 
     def test_is_munbf_rejects_repeat(self):
         assert not is_munbf(NNode(a, NNode(a, LEAF_T, LEAF_F), LEAF_F))
+
+    def test_is_munbf_agrees_with_is_mem_basic(self):
+        forms = enumerate_mem_basic(("a", "b", "c"), three_valued=True)
+        shared = Node(a, LEAF_T, LEAF_F)
+        repeats = [Node(a, Node(b, LEAF_U, shared), LEAF_F),
+                   Node(b, Node("c", shared, LEAF_T), Node(a, LEAF_F, shared)),
+                   Node("c", LEAF_T, Node(b, LEAF_F, Node("c", LEAF_U, LEAF_T)))]
+        for f in forms + repeats:
+            assert is_munbf(to_munbf(f)) == is_mem_basic(f) == (f not in repeats)
 
     def test_check_munbf(self):
         with pytest.raises(InvariantError):

@@ -3,13 +3,13 @@ import random
 import pytest
 
 from conftest import all_valuations, random_basic_form, random_term
-from sclc.congruence import TruthValue3, trace_eval
+from sclc.congruence import TruthValue3, eval_tree, trace_eval
 from sclc.errors import DepthLimitError, InvariantError, OpenTermError
 from sclc.normalform import (
     LEAF_F, LEAF_T, LEAF_U, MemBasicForm, Node, bf, enumerate_mem_basic,
     is_mem_basic, mbf, mf, reduce, render, subst_tf, to_json,
 )
-from sclc.syntax import Atom, Not, Var, parse
+from sclc.syntax import And, Atom, Iff, Not, Or, Var, Xor, parse
 
 a, b = "a", "b"
 Q = Node("q", LEAF_T, LEAF_F)
@@ -184,3 +184,79 @@ class TestJson:
         assert to_json(LEAF_U) == {"leaf": "U"}
         assert to_json(Node(a, LEAF_T, LEAF_F)) == {
             "atom": "a", "t": {"leaf": "T"}, "f": {"leaf": "F"}}
+
+
+def _left_chain(op, atoms, n):
+    t = Atom(atoms[0])
+    for i in range(1, n):
+        t = op(t, Atom(atoms[i % len(atoms)]))
+    return t
+
+
+def _distinct_nodes(tree) -> int:
+    seen, stack = set(), [tree]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Node) and id(t) not in seen:
+            seen.add(id(t))
+            stack += (t.on_true, t.on_false)
+    return len(seen)
+
+
+def _expanded_size(tree) -> int:
+    if not isinstance(tree, Node):
+        return 1
+    return 1 + _expanded_size(tree.on_true) + _expanded_size(tree.on_false)
+
+
+def _walk(tree, valuation):
+    order = []
+    while isinstance(tree, Node):
+        order.append(tree.atom)
+        tree = tree.on_true if valuation[tree.atom] else tree.on_false
+    return TruthValue3(tree.value), order
+
+
+DISTINCT = tuple(f"x{i}" for i in range(200))
+
+
+class TestSharedDags:
+    """Chains whose normal forms share subtrees heavily, against the
+    independent routes eval_tree and trace_eval."""
+
+    @pytest.mark.parametrize("op", [Iff, Xor])
+    @pytest.mark.parametrize("atoms", [DISTINCT, ("a", "b")])
+    @pytest.mark.parametrize("n", [2, 7, 12])
+    def test_iff_xor_chains(self, op, atoms, n):
+        t = _left_chain(op, atoms, n)
+        assert bf(t) == eval_tree(t)
+        m = mbf(t).tree
+        assert is_mem_basic(m)
+        for v in all_valuations(sorted(set(atoms[:n]))):
+            assert _walk(m, v) == trace_eval(t, v)
+
+    @pytest.mark.parametrize("op,stop", [(And, False), (Or, True)])
+    def test_and_or_chains(self, op, stop):
+        t = _left_chain(op, DISTINCT, 200)
+        free = bf(t)
+        assert free == eval_tree(t)
+        m = mbf(t).tree
+        assert is_mem_basic(m) and m == free
+        # Every path of the tree: the first i atoms do not decide the chain,
+        # the next one does.
+        for i in range(201):
+            v = {x: (j < i) != stop for j, x in enumerate(DISTINCT)}
+            assert _walk(m, v) == trace_eval(t, v)
+
+    def test_two_atom_chain_mem_form_is_small(self):
+        assert _expanded_size(mbf(_left_chain(Iff, ("a", "b"), 200)).tree) == 7
+
+    def test_distinct_chain_free_form_is_shared(self):
+        assert _distinct_nodes(bf(_left_chain(Iff, DISTINCT, 200))) <= 4 * 200
+
+    def test_shared_subtree_checked_under_each_parent(self):
+        shared = Node(a, LEAF_T, LEAF_F)
+        fine, repeats = Node("c", shared, LEAF_F), Node(a, shared, LEAF_T)
+        assert is_mem_basic(Node(b, fine, Node("d", shared, LEAF_U)))
+        assert not is_mem_basic(Node(b, fine, repeats))
+        assert not is_mem_basic(Node(b, repeats, fine))
