@@ -12,8 +12,8 @@ from .congruence import (
 )
 from .errors import (
     AtomCaseError, DepthLimitError, InvariantError, MissingBindingError,
-    OpenTermError, ParseError, SclError, SignatureError, UnboundAtomError,
-    UnsupportedConnective,
+    OpenTermError, ParseError, SclError, SignatureError, SweepArgumentError,
+    UnboundAtomError, UnsupportedConnective,
 )
 from .nandform import (
     Munbf, NNode, assume, complement_leaves, from_munbf, is_munbf, nand_nf,

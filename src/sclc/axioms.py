@@ -6,6 +6,12 @@ substitutes distinct new atoms for the variables (a refutation here is
 unconditionally sound); the exhaustive strategy additionally sweeps every
 tuple of mem-basic forms over a small shared alphabet, as independent
 evidence that does not presuppose substitution-invariance.
+
+The sweep evaluates both sides as cond nodes over forest ids, the
+innermost variable as one vector of all its values per node.  Under
+memorising congruence every value is one of finitely many mem-basic forms,
+so a cond with one vector argument reads one row of the forest's cond
+table (Forest.mem_row); free mode has no such bound and goes per element.
 """
 
 from __future__ import annotations
@@ -13,10 +19,13 @@ from __future__ import annotations
 import enum
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd
 
 from .congruence import FREE, MEM, MEM3, Mode, normal_form
-from .errors import MissingBindingError, OpenTermError, SignatureError
+from .errors import (
+    MissingBindingError, OpenTermError, SignatureError, SweepArgumentError,
+)
 from .normalform import BasicForm, Forest, enumerate_mem_basic, render
 from .syntax import (
     BINARY_TYPES, Atom, Cond, Const, Not, Term, Var, atoms_of, is_closed,
@@ -139,7 +148,8 @@ def check_schema(schema: Schema, mode: Mode, strategy: str = "fresh_atoms",
     in variable name order; "exhaustive" additionally substitutes every
     tuple of mem-basic forms over k shared fresh atoms.  The tuple sweep is
     truncated at `budget` instantiations; a truncated pass is still reported
-    as exhaustive but carries budget_exceeded=True.
+    as exhaustive but carries budget_exceeded=True.  Sweep arguments are
+    validated first, see check_sweep_args.
     """
     if schema.uses_undef and not mode.three_valued:
         raise SignatureError(
@@ -147,12 +157,16 @@ def check_schema(schema: Schema, mode: Mode, strategy: str = "fresh_atoms",
     if strategy not in ("fresh_atoms", "exhaustive"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
+    if strategy == "exhaustive":
+        check_sweep_args(k, budget, mode.three_valued)
+
     variables = schema.variables
     sub = {v: Atom(a) for v, a in zip(variables, _fresh_names(schema, len(variables)))}
     lhs_t, rhs_t = instantiate(schema, sub)
-    lhs_nf = normal_form(lhs_t, mode)
-    rhs_nf = normal_form(rhs_t, mode)
-    if lhs_nf != rhs_nf:
+    forest = Forest()  # one forest: equal forms are one object
+    lhs_nf = normal_form(lhs_t, mode, forest)
+    rhs_nf = normal_form(rhs_t, mode, forest)
+    if lhs_nf is not rhs_nf:
         return CheckResult(Verdict.REFUTED_FRESH_ATOMS, witness=sub,
                            lhs_nf=lhs_nf, rhs_nf=rhs_nf)
     if strategy == "fresh_atoms":
@@ -163,6 +177,20 @@ def check_schema(schema: Schema, mode: Mode, strategy: str = "fresh_atoms",
 # ---------------------------------------------------------------------------
 # Exhaustive sweep
 # ---------------------------------------------------------------------------
+
+def check_sweep_args(k: int, budget: int, three_valued: bool) -> None:
+    """Reject k < 0, budget < 1, and a budget below the domain size c(k) of
+    enumerate_mem_basic, computed first: k = 4 would build ~10^9 trees."""
+    leaves = size = 3 if three_valued else 2
+    for i in range(1, k + 1):
+        size = leaves + i * size * size
+        if size > budget:  # c only grows with k
+            break
+    if k < 0 or budget < 1 or size > budget:
+        raise SweepArgumentError(
+            f"sweep needs k >= 0 and a budget of at least c(k) mem-basic "
+            f"forms; got k={k}, budget={budget}")
+
 
 # One forest for every sweep in the process.  Its tables cache on ids, so
 # repeated instantiations share nearly all work and, under memorising
@@ -215,8 +243,7 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
     domain = [forest.from_tree(t)
               for t in enumerate_mem_basic(alphabet, mode.three_valued)]
     mem = mode.congruence == "mem"
-    cache = forest._combine_mem if mem else forest._subst
-    slow = forest.combine_mem if mem else forest.combine_free
+    cond = forest.combine_mem if mem else forest.subst
 
     nodes: list[tuple] = []
     index: dict[Term, int] = {}
@@ -225,11 +252,13 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
 
     # Split nodes by the innermost variable each one mentions: a node is
     # recomputed exactly when that loop level advances.  The node list is
-    # already in dependency order, which the stable split preserves.
+    # already in dependency order, which the stable split preserves.  At
+    # the innermost level a node holds one value per digit (a list), so a
+    # cond records which of its arguments are such vectors.
     var_level: list[int] = []
     var_sets: list[list[int]] = [[] for _ in range(nvars)]
-    conds: list[list[tuple[int, int, int, int]]] = [[] for _ in range(nvars)]
-    slots = [0] * len(nodes)
+    conds: list[list[tuple]] = [[] for _ in range(nvars)]
+    slots: list = [0] * len(nodes)
     for i, op in enumerate(nodes):
         if op[0] == "const":
             var_level.append(-1)
@@ -238,12 +267,14 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
             var_level.append(op[1])
             var_sets[op[1]].append(i)
         else:
-            lvl = max(var_level[c] for c in op[1:])
+            levels = [var_level[c] for c in op[1:]]
+            lvl = max(levels)
             var_level.append(lvl)
             if lvl < 0:
-                slots[i] = slow(slots[op[1]], slots[op[2]], slots[op[3]])
+                slots[i] = cond(slots[op[1]], slots[op[2]], slots[op[3]])
             else:
-                conds[lvl].append((i, op[1], op[2], op[3]))
+                vec = [p for p in range(3) if levels[p] == nvars - 1]
+                conds[lvl].append((i, *op[1:], vec))
 
     size = len(domain)
     perms = [_permutation(j, size) for j in range(nvars)]
@@ -252,31 +283,47 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
     checked = 0
     bad_env: list[int] | None = None
     env = [0] * nvars
-    cache_get = cache.get
+    last = nvars - 1
+    last_values = [domain[d] for d in perms[last]] if nvars else []
+
+    def cond_vector(args: list, vec: list[int]) -> list[int]:
+        if mem and len(vec) == 1:
+            xs = args.pop(vec[0])
+            row = forest.mem_row(vec[0], *args)
+            return list(map(row.__getitem__, xs))
+        return list(map(cond, *(a if p in vec else repeat(a)
+                                for p, a in enumerate(args))))
 
     def run_level(j: int) -> bool:
-        """Loop one variable; returns True to stop (refuted or budget hit)."""
+        """Loop one variable, the innermost one as a vector; returns True
+        to stop (refuted or budget hit)."""
         nonlocal checked, bad_env
+        if j == last:
+            n = min(size, limit - checked)
+            values = last_values if n == size else last_values[:n]
+            for i in var_sets[j]:
+                slots[i] = values
+            for i, a, b, c, vec in conds[j]:
+                slots[i] = cond_vector([slots[a], slots[b], slots[c]], vec)
+            lhs, rhs = (v if isinstance(v, list) else [v] * n
+                        for v in (slots[top_l], slots[top_r]))
+            if lhs != rhs:
+                pos = next(p for p in range(n) if lhs[p] != rhs[p])
+                checked += pos + 1
+                bad_env = env[:j] + [perms[j][pos]]
+                return True
+            checked += n
+            return checked >= limit
         var_slots = var_sets[j]
         level_conds = conds[j]
-        last = j == nvars - 1
         for digit in perms[j]:
             env[j] = digit
             value = domain[digit]
             for i in var_slots:
                 slots[i] = value
-            for i, a, b, c in level_conds:
-                key = (slots[a], slots[b], slots[c])
-                v = cache_get(key)
-                slots[i] = v if v is not None else slow(*key)
-            if last:
-                checked += 1
-                if slots[top_l] != slots[top_r]:
-                    bad_env = env.copy()
-                    return True
-                if checked >= limit:
-                    return True
-            elif run_level(j + 1):
+            for i, a, b, c, _ in level_conds:
+                slots[i] = cond(slots[a], slots[b], slots[c])
+            if run_level(j + 1):
                 return True
         return False
 

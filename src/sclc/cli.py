@@ -1,8 +1,8 @@
 """Batch command-line front end.
 
 Exit codes: 0 success/equal, 1 unequal/refuted, 2 usage or parse error,
-3 internal invariant violation.  Output is deterministic for a given
-argv and stdin.
+3 internal invariant violation or exhausted recursion or memory.  Output
+is deterministic for a given argv and stdin.
 """
 
 from __future__ import annotations
@@ -186,6 +186,9 @@ def _cmd_axioms(args) -> int:
     if not args.table:
         raise SclError("axioms check requires a table name")
     table = axioms.table_by_name(args.table)
+    if args.exhaustive is not None:
+        axioms.check_sweep_args(args.exhaustive, args.budget,
+                                args.three_valued or table.mode.three_valued)
     want = "refuted" if table.expect_refuted else "passed"
     ok = True
 
@@ -235,6 +238,11 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except InvariantError as exc:
         print(f"sclc: internal error: {exc}", file=sys.stderr)
+        return 3
+    except (RecursionError, MemoryError) as exc:
+        # Never let a crash look like exit 1, which eq uses for "unequal".
+        print(f"sclc: input too large for this process "
+              f"({type(exc).__name__})", file=sys.stderr)
         return 3
     except (ParseError, SclError, KeyError) as exc:
         print(f"sclc: {exc}", file=sys.stderr)

@@ -55,5 +55,10 @@ class SignatureError(SclError):
     """Schema uses symbols outside the signature of the requested mode."""
 
 
+class SweepArgumentError(SclError):
+    """Exhaustive sweep asked for a negative alphabet, a budget below one,
+    or a domain larger than its budget."""
+
+
 class InvariantError(SclError):
     """A normal form failed its structural invariant; indicates a bug."""

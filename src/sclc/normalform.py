@@ -83,7 +83,8 @@ class Forest:
         self._subst: dict[tuple[int, int, int], int] = {}
         self._mf: dict[int, int] = {}
         self._reduce: dict[tuple[int, str, bool], int] = {}
-        self._combine_mem: dict[tuple[int, int, int], int] = {}
+        self._rows: dict[tuple[int, int, int], _Row] = {}
+        self._row_entries = 0
 
     def node(self, atom: str, on_true: int, on_false: int) -> int:
         key = (atom, on_true, on_false)
@@ -168,18 +169,42 @@ class Forest:
                                           self.mf(self.reduce(f, atom, False)))
         return out
 
-    def combine_free(self, c: int, t: int, e: int) -> int:
-        """Basic form of (t <| c |> e), all arguments normalized."""
-        v = self.subst(c, t, e)
-        if len(self._subst) < self.CACHE_MAX:
-            self._subst[(c, t, e)] = v
-        return v
+    def mem_row(self, pos: int, a: int, b: int) -> "_Row":
+        """The memorising cond (t <| c |> e) as a function of the argument
+        at pos (0 cond, 1 then, 2 else), the other two fixed at a and b in
+        order: a dict from the varying id to the mem-basic result, filled
+        on first lookup.  All arguments are mem-basic."""
+        key = (pos, a, b)
+        row = self._rows.get(key)
+        if row is None:
+            row = _Row(self, pos, a, b)
+            if self._row_entries < self.CACHE_MAX:
+                self._rows[key] = row
+        return row
 
     def combine_mem(self, c: int, t: int, e: int) -> int:
-        """Mem-basic form of (t <| c |> e), all arguments normalized."""
-        v = self.mf(self.subst(c, t, e))
-        if len(self._combine_mem) < self.CACHE_MAX:
-            self._combine_mem[(c, t, e)] = v
+        """Mem-basic form of (t <| c |> e), all arguments mem-basic."""
+        row = self._rows.get((0, t, e))
+        return (self.mem_row(0, t, e) if row is None else row)[c]
+
+
+class _Row(dict):
+    """One row of Forest.mem_row.  Past Forest.CACHE_MAX entries over all
+    rows, results are computed and not stored."""
+
+    __slots__ = ("forest", "pos", "fixed")
+
+    def __init__(self, forest: Forest, pos: int, a: int, b: int):
+        self.forest, self.pos, self.fixed = forest, pos, (a, b)
+
+    def __missing__(self, x: int) -> int:
+        f = self.forest
+        args = list(self.fixed)
+        args.insert(self.pos, x)
+        v = f.mf(f.subst(*args))
+        if f._row_entries < f.CACHE_MAX:
+            self[x] = v
+            f._row_entries += 1
         return v
 
 

@@ -5,12 +5,14 @@ import pytest
 
 from conftest import all_valuations, random_term
 from sclc.axioms import (
-    Schema, Verdict, builtin_tables, check_schema, check_table, instantiate,
-    table_by_name,
+    Schema, Verdict, _exhaustive, _fresh_names, _permutation, builtin_tables,
+    check_schema, check_table, instantiate, table_by_name,
 )
-from sclc.congruence import FREE, MEM, MEM3, equiv, eval_tree, trace_eval
-from sclc.errors import MissingBindingError, SignatureError
-from sclc.normalform import enumerate_mem_basic, render
+from sclc.congruence import (
+    FREE, FREE3, MEM, MEM3, equiv, eval_tree, normal_form, trace_eval,
+)
+from sclc.errors import MissingBindingError, SignatureError, SweepArgumentError
+from sclc.normalform import Forest, Node, enumerate_mem_basic, render
 from sclc.syntax import (
     And, Atom, Cond, Not, TT, UU, Var, atoms_of, dual, parse, vars_of,
 )
@@ -78,6 +80,16 @@ class TestCheckSchema:
             check_schema(s, MEM)
         assert check_schema(s, MEM3).verdict is Verdict.PASSED_FRESH_ATOMS
 
+    def test_fresh_atoms_compare_by_identity(self, monkeypatch):
+        # Node.__eq__ walks the expanded tree, exponential on chains.
+        def no_eq(self, other):
+            raise AssertionError("Node.__eq__ called")
+
+        monkeypatch.setattr(Node, "__eq__", no_eq)
+        assert check_schema(schema("Abs", "X && (X || Y)", "X"), MEM).verdict \
+            is Verdict.PASSED_FRESH_ATOMS
+        assert check_schema(schema("OrT", "X || T", "T"), MEM).refuted
+
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             check_schema(schema("x", "X", "X"), MEM, "sampling")
@@ -101,6 +113,23 @@ class TestExhaustive:
         assert r.verdict is Verdict.PASSED_EXHAUSTIVE
         assert r.count == 5_000
         assert r.budget_exceeded
+
+    @pytest.mark.parametrize("k,budget,three_valued", [
+        (-1, 10, False), (2, 0, False), (2, -5, False),
+        (2, 73, False), (2, 290, True), (0, 1, False),
+        (4, 10 ** 6, False),  # ~10^9 forms: rejected before enumerating
+        (10 ** 9, 10 ** 6, False),
+    ])
+    def test_bad_sweep_arguments(self, k, budget, three_valued):
+        mode = MEM3 if three_valued else MEM
+        with pytest.raises(SweepArgumentError):
+            check_schema(schema("F5", "X && T", "X"), mode, "exhaustive",
+                         k=k, budget=budget)
+
+    def test_budget_equal_to_domain(self):
+        r = check_schema(schema("F5", "X && T", "X"), MEM3, "exhaustive",
+                         budget=291)
+        assert r.count == 291 and not r.budget_exceeded
 
     def test_refutation_found_in_sweep(self):
         r = check_schema(schema("AndComm", "X && Y", "Y && X"), MEM,
@@ -136,6 +165,64 @@ class TestExhaustive:
                                                     repeat=len(s.variables)))
                 got = check_schema(s, mode, "exhaustive")
                 assert (not got.refuted) == expected
+
+
+def _reference_sweep(s, mode, k, budget):
+    """Brute force over the sweep's own order: instantiate, normalize both
+    sides in one forest, compare.  (count, budget_exceeded, witness)."""
+    domain = [render(t) for t in
+              enumerate_mem_basic(tuple(_fresh_names(s, k)), mode.three_valued)]
+    perms = [_permutation(j, len(domain)) for j in range(len(s.variables))]
+    count = 0
+    for digits in itertools.product(*perms):
+        count += 1
+        sub = {v: domain[d] for v, d in zip(s.variables, digits)}
+        forest = Forest()
+        lhs, rhs = instantiate(s, sub)
+        if normal_form(lhs, mode, forest) is not normal_form(rhs, mode, forest):
+            return count, False, sub
+        if count == budget:
+            break
+    return count, len(domain) ** len(s.variables) > budget, None
+
+
+class TestSweepReference:
+    # Refutable and valid schemas; an atom constant; the innermost
+    # variable twice under one cond ("twice", "IffByCond"); no variables.
+    SCHEMAS = [
+        ("AndComm", "X && Y", "Y && X"),
+        ("OrT", "X || T", "T"),
+        ("C1", "X && (Y && X)", "X && Y"),
+        ("late", "(X && Y) || Z", "(Y && X) || Z"),
+        ("OrElse", "X", "T <| X |> Y"),  # free3: refuted in the 2nd vector
+        ("atom", "(a && X) && Y", "a && (X && Y)"),
+        ("atomComm", "X && a", "a && X"),
+        ("twice", "Y <| Y |> X", "T <| Y |> X"),
+        ("IffByCond", "X <-> Y", "Y <| X |> (F <| Y |> T)"),
+        ("Neg", "F", "!T"),
+        ("TF", "T", "F"),
+    ]
+
+    @pytest.mark.parametrize("mode", [MEM, FREE, MEM3, FREE3],
+                             ids=["mem", "free", "mem3", "free3"])
+    @pytest.mark.parametrize("name,lhs,rhs", SCHEMAS, ids=[n for n, *_ in SCHEMAS])
+    def test_matches_brute_force(self, mode, name, lhs, rhs):
+        s = schema(name, lhs, rhs)
+        # 77 stops two-valued sweeps three digits into the second vector;
+        # 5,000 stops inside a vector in both valuednesses.
+        for budget in ((77, 5_000) if not mode.three_valued else (5_000,)):
+            got = _exhaustive(s, mode, 2, budget)  # past the fresh-atoms check
+            count, exceeded, witness = _reference_sweep(s, mode, 2, budget)
+            assert (got.count, got.budget_exceeded, got.witness) == \
+                (count, exceeded, witness)
+            assert got.refuted == (witness is not None)
+
+    def test_cases_reach_mid_vector(self):
+        # The reference comparison above means something only if some
+        # refutations land past the first digit of an innermost vector.
+        r = _exhaustive(schema("late", "(X && Y) || Z", "(Y && X) || Z"),
+                        MEM, 2, 10 ** 6)
+        assert r.refuted and r.count % 74 not in (0, 1)
 
 
 def _atoms_to_vars(t):

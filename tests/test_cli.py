@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from sclc.cli import main
 
 
@@ -138,6 +140,19 @@ class TestAxiomsCommand:
         code, _, err = run(capsys, "axioms", "check", "Nope")
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ("--exhaustive", "2", "--budget", "0"),
+        ("--exhaustive", "2", "--budget", "-5"),
+        ("--exhaustive", "-1"),
+        ("--exhaustive", "2", "--budget", "73"),
+        ("--exhaustive", "4"),  # ~10^9 forms per variable: never enumerated
+    ])
+    def test_bad_sweep_arguments_are_usage_errors(self, capsys, flags):
+        code, out, err = run(capsys, "axioms", "check", "EqMSCL", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("sclc: ")
+
 
 class TestErrors:
     def test_parse_error_exit_two(self, capsys):
@@ -147,6 +162,22 @@ class TestErrors:
 
     def test_usage_error(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+    @pytest.mark.parametrize("depth", [100, 1_000, 10_000])
+    def test_deep_input_never_reads_as_unequal(self, capsys, depth):
+        x = "(" * depth + "a" + ")" * depth
+        code, _, err = run(capsys, "eq", x, x)
+        assert code != 1
+        assert code == 0 or err.startswith("sclc: ")
+
+    def test_memory_error_exit_three(self, capsys, monkeypatch):
+        def exhausted(term, mode, forest=None):
+            raise MemoryError
+
+        monkeypatch.setattr("sclc.congruence.normal_form", exhausted)
+        code, _, err = run(capsys, "norm", "a")
+        assert code == 3
+        assert err.count("\n") == 1 and "MemoryError" in err
 
     def test_determinism(self, capsys):
         first = run(capsys, "norm", "a <-> b || c")

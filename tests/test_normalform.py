@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from conftest import all_valuations, random_basic_form, random_term
 from sclc.congruence import TruthValue3, eval_tree, trace_eval
 from sclc.errors import DepthLimitError, InvariantError, OpenTermError
 from sclc.normalform import (
-    LEAF_F, LEAF_T, LEAF_U, MemBasicForm, Node, bf, enumerate_mem_basic,
+    LEAF_F, LEAF_T, LEAF_U, Forest, MemBasicForm, Node, bf, enumerate_mem_basic,
     is_mem_basic, mbf, mf, reduce, render, subst_tf, to_json,
 )
 from sclc.syntax import And, Atom, Iff, Not, Or, Var, Xor, parse
@@ -104,6 +105,24 @@ class TestMf:
 
     def test_already_mem_basic(self):
         assert mf(Node(a, LEAF_T, LEAF_F)) == Node(a, LEAF_T, LEAF_F)
+
+
+class TestMemRows:
+    def test_rows_agree_with_mf_of_subst_under_a_small_cap(self):
+        forest = Forest()
+        forest.CACHE_MAX = 50  # past it, rows compute without storing
+        forms = enumerate_mem_basic((a, b), three_valued=True)[::23]
+        ids = {id(t): forest.from_tree(t) for t in forms}
+        for c, t, e in itertools.product(forms, repeat=3):
+            want = mf(subst_tf(c, t, e))
+            c_, t_, e_ = ids[id(c)], ids[id(t)], ids[id(e)]
+            for got in (forest.combine_mem(c_, t_, e_),
+                        forest.mem_row(0, t_, e_)[c_],
+                        forest.mem_row(1, c_, e_)[t_],
+                        forest.mem_row(2, c_, t_)[e_]):
+                assert forest.to_tree(got) == want
+        assert forest._row_entries == 50
+        assert len(forest._rows) <= 50  # no empty rows kept past the cap
 
 
 class TestMbf:
