@@ -16,8 +16,8 @@ from .errors import (
     UnboundAtomError, UnsupportedConnective,
 )
 from .nandform import (
-    Munbf, NNode, assume, complement_leaves, from_munbf, is_munbf, nand_nf,
-    render_nand, to_munbf,
+    assume, complement_leaves, from_munbf, is_munbf, nand_nf, render_nand,
+    to_munbf,
 )
 from .normalform import (
     BasicForm, Leaf, LEAF_F, LEAF_T, LEAF_U, MemBasicForm, Node, bf,

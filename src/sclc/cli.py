@@ -18,17 +18,24 @@ from .normalform import render
 from .syntax import parse, print_term
 
 
-def _common_flags(p: argparse.ArgumentParser, dot: bool = False) -> None:
+def _normalizing_command(sub, name: str, summary: str, *exprs: str):
+    """A subcommand that normalizes: --mem/--free and --json."""
+    p = sub.add_parser(name, help=summary)
+    for expr in exprs:
+        p.add_argument(expr)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--mem", action="store_true", help="memorising congruence (default)")
     mode.add_argument("--free", action="store_true", help="free congruence")
-    p.add_argument("--three-valued", action="store_true",
-                   help="admit U in axiom tables and enumerations")
     out = p.add_mutually_exclusive_group()
-    out.add_argument("--text", action="store_true", help="plain output (default)")
     out.add_argument("--json", action="store_true", help="JSON output")
-    if dot:
-        out.add_argument("--dot", action="store_true", help="Graphviz output")
+    return out
+
+
+def _printing_command(sub, name: str, summary: str) -> None:
+    """A subcommand that prints one term: --json and --primes."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("expr")
+    p.add_argument("--json", action="store_true", help="JSON output")
     p.add_argument("--primes", action="store_true",
                    help="abbreviate x ~& T as x' in output")
 
@@ -37,40 +44,21 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="sclc", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("norm", help="print the normal form of an expression")
-    p.add_argument("expr")
-    _common_flags(p, dot=True)
-
-    p = sub.add_parser("eq", help="decide equivalence of two expressions")
-    p.add_argument("expr")
-    p.add_argument("expr2")
-    _common_flags(p)
-
-    p = sub.add_parser("dual", help="print the dual of an expression")
-    p.add_argument("expr")
-    _common_flags(p)
+    out = _normalizing_command(sub, "norm", "print the normal form of an expression",
+                               "expr")
+    out.add_argument("--dot", action="store_true", help="Graphviz output")
+    _normalizing_command(sub, "eq", "decide equivalence of two expressions",
+                         "expr", "expr2")
+    _printing_command(sub, "dual", "print the dual of an expression")
 
     p = sub.add_parser("eval", help="evaluate under a valuation")
     p.add_argument("expr")
     p.add_argument("--val", default="", metavar="a=0,b=1",
                    help="comma-separated atom assignments")
-    _common_flags(p)
 
-    p = sub.add_parser("to-nand", help="encode !,&&,|| into the NAND signature")
-    p.add_argument("expr")
-    _common_flags(p)
-
-    p = sub.add_parser("from-nand", help="decode a NAND term into !,&&")
-    p.add_argument("expr")
-    _common_flags(p)
-
-    p = sub.add_parser("munbf", help="NAND-signature normal form")
-    p.add_argument("expr")
-    _common_flags(p)
-
-    p = sub.add_parser("tree", help="Graphviz view of the normal form")
-    p.add_argument("expr")
-    _common_flags(p, dot=True)
+    _printing_command(sub, "to-nand", "encode !,&&,|| into the NAND signature")
+    _printing_command(sub, "from-nand", "decode a NAND term into !,&&")
+    _printing_command(sub, "munbf", "NAND-signature normal form")
 
     p = sub.add_parser("axioms", help="list or check the builtin axiom tables")
     p.add_argument("action", choices=["list", "check"])
@@ -79,15 +67,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also sweep mem-basic forms over K shared atoms")
     p.add_argument("--budget", type=int, default=axioms.DEFAULT_BUDGET,
                    help="instantiation cap for the exhaustive sweep")
-    _common_flags(p)
+    p.add_argument("--three-valued", action="store_true",
+                   help="admit U in axiom tables and enumerations")
     return top
 
 
 def _mode(args: argparse.Namespace) -> Mode:
-    base = FREE if getattr(args, "free", False) else MEM
-    if getattr(args, "three_valued", False):
-        return Mode(base.congruence, three_valued=True)
-    return base
+    return FREE if args.free else MEM
 
 
 def _read_expr(text: str) -> str:
@@ -95,13 +81,13 @@ def _read_expr(text: str) -> str:
 
 
 def _style(args: argparse.Namespace) -> str:
-    return "json" if getattr(args, "json", False) else "unicode"
+    return "json" if args.json else "unicode"
 
 
 def _emit_tree(tree, args) -> None:
     if getattr(args, "dot", False):
         print(congruence.to_dot(tree))
-    elif getattr(args, "json", False):
+    elif args.json:
         print(json.dumps(normalform.to_json(tree), separators=(", ", ": ")))
     else:
         print(print_term(render(tree), "unicode"))
@@ -161,18 +147,11 @@ def _cmd_from_nand(args) -> int:
 
 def _cmd_munbf(args) -> int:
     form = nandform.check_munbf(nandform.nand_nf(parse(_read_expr(args.expr))))
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(nandform.to_json(form), separators=(", ", ": ")))
     else:
         print(print_term(nandform.render_nand(form), "unicode",
                          primes=args.primes))
-    return 0
-
-
-def _cmd_tree(args) -> int:
-    term = parse(_read_expr(args.expr))
-    tree = congruence.normal_form(term, _mode(args))
-    print(congruence.to_dot(tree))
     return 0
 
 
@@ -223,7 +202,6 @@ _COMMANDS = {
     "to-nand": _cmd_to_nand,
     "from-nand": _cmd_from_nand,
     "munbf": _cmd_munbf,
-    "tree": _cmd_tree,
     "axioms": _cmd_axioms,
 }
 
@@ -245,7 +223,9 @@ def main(argv: list[str] | None = None) -> int:
               f"({type(exc).__name__})", file=sys.stderr)
         return 3
     except (ParseError, SclError, KeyError) as exc:
-        print(f"sclc: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message; print the message plain.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"sclc: {message}", file=sys.stderr)
         return 2
 
 

@@ -1,14 +1,15 @@
 """Normal forms in the sequential NAND signature.
 
-An NNode(a, P, Q) stands for (a ~& P) ~& (a' ~& Q) with a occurring in
-neither P nor Q, where a' abbreviates a ~& T.  nand_nf normalizes any
-closed NAND term to such a form by structural induction; to_munbf and
-from_munbf transcribe between these forms and mem-basic forms.
+A NAND normal form is a mem-basic decision tree read in the NAND
+signature: Node(a, P, Q) stands for (a ~& P) ~& (a' ~& Q) with a occurring
+in neither P nor Q, where a' abbreviates a ~& T.  nand_nf normalizes any
+closed NAND term to such a tree by structural induction, independently of
+mbf; to_munbf and from_munbf are the paper's bijections f and g, which
+only relabel nodes, so here they unwrap and wrap a MemBasicForm.
+render_nand spells a tree out in the NAND signature.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import InvariantError, OpenTermError, UnsupportedConnective
 from .normalform import BasicForm, Leaf, LEAF_T, LEAF_F, LEAF_U, MemBasicForm, Node
@@ -16,20 +17,10 @@ from .normalform import is_mem_basic
 from .syntax import Atom, Const, Nand, Term, TT, Var
 
 
-@dataclass(frozen=True, slots=True)
-class NNode:
-    atom: str
-    on_true: "Munbf"
-    on_false: "Munbf"
-
-
-Munbf = Leaf | NNode
-
-
 is_munbf = is_mem_basic
 
 
-def assume(p: Munbf, atom: str, value: bool) -> Munbf:
+def assume(p: BasicForm, atom: str, value: bool) -> BasicForm:
     """Remove an atom's nodes given its evaluation result.
 
     value=True keeps the true-subtree of matching nodes, value=False the
@@ -39,11 +30,11 @@ def assume(p: Munbf, atom: str, value: bool) -> Munbf:
         return p
     if p.atom == atom:
         return p.on_true if value else p.on_false
-    return NNode(p.atom, assume(p.on_true, atom, value),
-                 assume(p.on_false, atom, value))
+    return Node(p.atom, assume(p.on_true, atom, value),
+                assume(p.on_false, atom, value))
 
 
-def complement_leaves(p: Munbf) -> Munbf:
+def complement_leaves(p: BasicForm) -> BasicForm:
     """Swap T and F leaves, fixing U: the tree-level meaning of priming."""
     if isinstance(p, Leaf):
         if p.value == "T":
@@ -51,10 +42,10 @@ def complement_leaves(p: Munbf) -> Munbf:
         if p.value == "F":
             return LEAF_T
         return p
-    return NNode(p.atom, complement_leaves(p.on_true), complement_leaves(p.on_false))
+    return Node(p.atom, complement_leaves(p.on_true), complement_leaves(p.on_false))
 
 
-def _combine(p: Munbf, q: Munbf) -> Munbf:
+def _combine(p: BasicForm, q: BasicForm) -> BasicForm:
     """Normal form of (p ~& q) for normalized arguments.
 
     T ~& q complements q's leaves; F ~& q is T; U ~& q is U.  For a node,
@@ -67,18 +58,18 @@ def _combine(p: Munbf, q: Munbf) -> Munbf:
         if p.value == "F":
             return LEAF_T
         return LEAF_U
-    return NNode(p.atom,
-                 assume(_combine(p.on_true, q), p.atom, True),
-                 assume(_combine(p.on_false, q), p.atom, False))
+    return Node(p.atom,
+                assume(_combine(p.on_true, q), p.atom, True),
+                assume(_combine(p.on_false, q), p.atom, False))
 
 
-def nand_nf(term: Term) -> Munbf:
+def nand_nf(term: Term) -> BasicForm:
     """Normalize a closed term over {T, F, U, atoms, ~&}."""
     match term:
         case Const(v):
             return Leaf(v)
         case Atom(name):
-            return NNode(name, LEAF_T, LEAF_F)
+            return Node(name, LEAF_T, LEAF_F)
         case Var():
             raise OpenTermError("nand_nf requires a closed term")
         case Nand(x, y):
@@ -88,28 +79,19 @@ def nand_nf(term: Term) -> Munbf:
                 f"{type(term).__name__} is outside the NAND signature")
 
 
-def to_munbf(p: MemBasicForm | BasicForm) -> Munbf:
+def to_munbf(p: MemBasicForm | BasicForm) -> BasicForm:
     """The bijection f: mem-basic forms to NAND normal forms."""
-    tree = p.tree if isinstance(p, MemBasicForm) else p
-    if isinstance(tree, Leaf):
-        return tree
-    return NNode(tree.atom, to_munbf(tree.on_true), to_munbf(tree.on_false))
+    return p.tree if isinstance(p, MemBasicForm) else p
 
 
-def from_munbf(q: Munbf) -> MemBasicForm:
+def from_munbf(q: BasicForm) -> MemBasicForm:
     """The inverse bijection g; g(f(p)) == p and f(g(q)) == q."""
-
-    def go(t: Munbf) -> BasicForm:
-        if isinstance(t, Leaf):
-            return t
-        return Node(t.atom, go(t.on_true), go(t.on_false))
-
-    return MemBasicForm(go(q))
+    return MemBasicForm(q)
 
 
-def render_nand(q: Munbf) -> Term:
+def render_nand(q: BasicForm) -> Term:
     """Literal expansion into the term language:
-    NNode(a, P, Q) -> (a ~& P) ~& ((a ~& T) ~& Q)."""
+    Node(a, P, Q) -> (a ~& P) ~& ((a ~& T) ~& Q)."""
     if isinstance(q, Leaf):
         return Const(q.value)
     a = Atom(q.atom)
@@ -117,14 +99,14 @@ def render_nand(q: Munbf) -> Term:
                 Nand(Nand(a, TT), render_nand(q.on_false)))
 
 
-def check_munbf(p: Munbf) -> Munbf:
+def check_munbf(p: BasicForm) -> BasicForm:
     """Identity that raises InvariantError on an invalid form."""
     if not is_munbf(p):
         raise InvariantError("tree violates the NAND normal form invariant")
     return p
 
 
-def to_json(p: Munbf):
+def to_json(p: BasicForm):
     """JSON form: {"leaf": "T"} or {"nnode": a, "t": ..., "f": ...}."""
     if isinstance(p, Leaf):
         return {"leaf": p.value}

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from sclc.cli import main
+from sclc.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -32,6 +33,11 @@ class TestNorm:
         code, out, _ = run(capsys, "norm", "a", "--dot")
         assert code == 0
         assert out.startswith("digraph")
+
+    def test_dot_two_atoms(self, capsys):
+        code, out, _ = run(capsys, "norm", "a || b", "--dot")
+        assert code == 0
+        assert 'n0 [label="a", shape=circle];' in out
 
     def test_stdin(self, capsys, monkeypatch):
         import io
@@ -104,15 +110,10 @@ class TestCommands:
         assert json.loads(out) == {"nnode": "a", "t": {"leaf": "T"},
                                    "f": {"leaf": "F"}}
 
-    def test_tree(self, capsys):
-        code, out, _ = run(capsys, "tree", "a || b")
-        assert code == 0
-        assert 'n0 [label="a", shape=circle];' in out
-
 
 class TestAxiomsCommand:
     def test_check_eqmscl(self, capsys):
-        code, out, _ = run(capsys, "axioms", "check", "EqMSCL", "--mem")
+        code, out, _ = run(capsys, "axioms", "check", "EqMSCL")
         assert code == 0
         assert out == "5/5 passed (fresh-atoms)\n"
 
@@ -139,6 +140,20 @@ class TestAxiomsCommand:
     def test_unknown_table(self, capsys):
         code, _, err = run(capsys, "axioms", "check", "Nope")
         assert code == 2
+        assert err == "sclc: no builtin table named 'Nope'\n"
+
+    def test_three_valued_widens_the_sweep_domain(self, capsys):
+        # c(1) is 6 two-valued and 12 three-valued: a budget of 8 covers
+        # only the former.
+        argv = ("axioms", "check", "EqMSCL", "--exhaustive", "1", "--budget", "8")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == ("5/5 passed (fresh-atoms)\n"
+                       "5/5 passed (exhaustive k=1, budget exceeded)\n")
+        code, out, err = run(capsys, *argv, "--three-valued")
+        assert code == 2
+        assert out == ""
+        assert "got k=1, budget=8" in err
 
     @pytest.mark.parametrize("flags", [
         ("--exhaustive", "2", "--budget", "0"),
@@ -152,6 +167,42 @@ class TestAxiomsCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("sclc: ")
+
+
+class TestSurface:
+    @pytest.mark.parametrize("argv", [
+        ("tree", "a"),
+        ("norm", "--text", "a"),
+        ("norm", "--three-valued", "a"),
+        ("norm", "--primes", "a"),
+        ("eval", "a", "--val", "a=1", "--free"),
+        ("eval", "a", "--val", "a=1", "--json"),
+        ("dual", "--mem", "a"),
+        ("axioms", "check", "EqMSCL", "--json"),
+    ])
+    def test_removed_surface_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err or "invalid choice" in err
+
+    def test_options_per_subcommand(self):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {name: sorted(o for a in p._actions for o in a.option_strings
+                                if o not in ("-h", "--help"))
+                   for name, p in sub.choices.items()}
+        printing = ["--json", "--primes"]
+        assert options == {
+            "norm": ["--dot", "--free", "--json", "--mem"],
+            "eq": ["--free", "--json", "--mem"],
+            "dual": printing,
+            "eval": ["--val"],
+            "to-nand": printing,
+            "from-nand": printing,
+            "munbf": printing,
+            "axioms": ["--budget", "--exhaustive", "--three-valued"],
+        }
 
 
 class TestErrors:

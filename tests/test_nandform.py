@@ -6,7 +6,7 @@ from conftest import all_valuations, random_term
 from sclc.congruence import MEM3, equiv, trace_eval
 from sclc.errors import InvariantError, OpenTermError, UnsupportedConnective
 from sclc.nandform import (
-    NNode, assume, check_munbf, complement_leaves, from_munbf, is_munbf,
+    assume, check_munbf, complement_leaves, from_munbf, is_munbf,
     nand_nf, render_nand, to_munbf, to_json,
 )
 from sclc.normalform import (
@@ -24,12 +24,12 @@ class TestAssume:
         assert assume(LEAF_U, a, True) == LEAF_U
 
     def test_matching_node_true(self):
-        p1, p2 = NNode(b, LEAF_T, LEAF_F), LEAF_F
-        assert assume(NNode(a, p1, p2), a, True) == p1
+        p1, p2 = Node(b, LEAF_T, LEAF_F), LEAF_F
+        assert assume(Node(a, p1, p2), a, True) == p1
 
     def test_recursive_then_match(self):
-        tree = NNode(a, NNode(b, LEAF_T, LEAF_F), LEAF_U)
-        assert assume(tree, b, False) == NNode(a, LEAF_F, LEAF_U)
+        tree = Node(a, Node(b, LEAF_T, LEAF_F), LEAF_U)
+        assert assume(tree, b, False) == Node(a, LEAF_F, LEAF_U)
 
     def test_result_drops_atom(self):
         forms = enumerate_mem_basic(("v1", "v2"), three_valued=True)
@@ -50,7 +50,7 @@ class TestNandNf:
         assert nand_nf(Nand(UU, Atom("a"))) == LEAF_U
 
     def test_negated_atom(self):
-        assert nand_nf(Nand(Atom("a"), TT)) == NNode(a, LEAF_F, LEAF_T)
+        assert nand_nf(Nand(Atom("a"), TT)) == Node(a, LEAF_F, LEAF_T)
 
     def test_negated_atom_against_oracle(self):
         got = nand_nf(Nand(Atom("a"), TT))
@@ -59,7 +59,7 @@ class TestNandNf:
                 trace_eval(Nand(Atom("a"), TT), v)
 
     def test_atom(self):
-        assert nand_nf(Atom("a")) == NNode(a, LEAF_T, LEAF_F)
+        assert nand_nf(Atom("a")) == Node(a, LEAF_T, LEAF_F)
 
     def test_unsupported(self):
         with pytest.raises(UnsupportedConnective):
@@ -82,13 +82,13 @@ class TestBijection:
         assert from_munbf(LEAF_U).tree == LEAF_U
 
     def test_single_node(self):
-        assert to_munbf(Node(a, LEAF_T, LEAF_F)) == NNode(a, LEAF_T, LEAF_F)
-        assert from_munbf(NNode(a, LEAF_T, LEAF_F)).tree == Node(a, LEAF_T, LEAF_F)
+        assert to_munbf(Node(a, LEAF_T, LEAF_F)) == Node(a, LEAF_T, LEAF_F)
+        assert from_munbf(Node(a, LEAF_T, LEAF_F)).tree == Node(a, LEAF_T, LEAF_F)
 
     def test_recursive(self):
         assert to_munbf(Node(a, Node(b, LEAF_F, LEAF_F), LEAF_F)) == \
-            NNode(a, NNode(b, LEAF_F, LEAF_F), LEAF_F)
-        assert from_munbf(NNode(b, LEAF_F, NNode(a, LEAF_T, LEAF_U))).tree == \
+            Node(a, Node(b, LEAF_F, LEAF_F), LEAF_F)
+        assert from_munbf(Node(b, LEAF_F, Node(a, LEAF_T, LEAF_U))).tree == \
             Node(b, LEAF_F, Node(a, LEAF_T, LEAF_U))
 
     def test_identity_both_ways_on_all_291(self):
@@ -135,12 +135,12 @@ class TestSemanticIdentities:
 
 class TestHelpers:
     def test_complement_leaves(self):
-        tree = NNode(a, LEAF_T, NNode(b, LEAF_U, LEAF_F))
-        assert complement_leaves(tree) == NNode(a, LEAF_F, NNode(b, LEAF_U, LEAF_T))
+        tree = Node(a, LEAF_T, Node(b, LEAF_U, LEAF_F))
+        assert complement_leaves(tree) == Node(a, LEAF_F, Node(b, LEAF_U, LEAF_T))
         assert complement_leaves(complement_leaves(tree)) == tree
 
     def test_is_munbf_rejects_repeat(self):
-        assert not is_munbf(NNode(a, NNode(a, LEAF_T, LEAF_F), LEAF_F))
+        assert not is_munbf(Node(a, Node(a, LEAF_T, LEAF_F), LEAF_F))
 
     def test_is_munbf_agrees_with_is_mem_basic(self):
         forms = enumerate_mem_basic(("a", "b", "c"), three_valued=True)
@@ -153,13 +153,13 @@ class TestHelpers:
 
     def test_check_munbf(self):
         with pytest.raises(InvariantError):
-            check_munbf(NNode(a, NNode(a, LEAF_T, LEAF_F), LEAF_F))
+            check_munbf(Node(a, Node(a, LEAF_T, LEAF_F), LEAF_F))
 
     def test_json(self):
-        assert to_json(NNode(a, LEAF_T, LEAF_U)) == {
+        assert to_json(Node(a, LEAF_T, LEAF_U)) == {
             "nnode": "a", "t": {"leaf": "T"}, "f": {"leaf": "U"}}
 
     def test_render_shape(self):
-        got = render_nand(NNode(a, LEAF_T, LEAF_F))
+        got = render_nand(Node(a, LEAF_T, LEAF_F))
         assert got == Nand(Nand(Atom("a"), parse("T")),
                            Nand(Nand(Atom("a"), TT), parse("F")))
