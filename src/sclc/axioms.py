@@ -28,8 +28,8 @@ from .errors import (
 )
 from .normalform import BasicForm, Forest, enumerate_mem_basic, render
 from .syntax import (
-    BINARY_TYPES, Atom, Cond, Const, Not, Term, Var, atoms_of, is_closed,
-    parse, vars_of,
+    BINARY_TYPES, UU, Atom, Cond, Const, Not, Term, Var, atoms_of, is_closed,
+    parse, subterms, vars_of,
 )
 from .translate import to_core
 
@@ -53,21 +53,7 @@ class Schema:
 
     @property
     def uses_undef(self) -> bool:
-        return _mentions_undef(self.lhs) or _mentions_undef(self.rhs)
-
-
-def _mentions_undef(t: Term) -> bool:
-    match t:
-        case Const(v):
-            return v == "U"
-        case Cond(a, b, c):
-            return _mentions_undef(a) or _mentions_undef(b) or _mentions_undef(c)
-        case Not(a):
-            return _mentions_undef(a)
-        case _ if isinstance(t, BINARY_TYPES):
-            return _mentions_undef(t.left) or _mentions_undef(t.right)
-        case _:
-            return False
+        return UU in subterms(self.lhs) or UU in subterms(self.rhs)
 
 
 @dataclass(frozen=True)

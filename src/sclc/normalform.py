@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import DepthLimitError, InvariantError, OpenTermError
-from .syntax import Atom, Cond, Const, Term, is_closed, term_depth
+from .syntax import (
+    DEFAULT_DEPTH_LIMIT, Atom, Cond, Const, Term, is_closed, term_depth,
+)
 from .translate import to_core
-
-DEFAULT_DEPTH_LIMIT = 10_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,7 +130,12 @@ class Forest:
                 return self.node(t.name, k_true, k_false)
             return k_true if t.value == "T" else k_false if t.value == "F" else self.U
 
-        return go(core, self.T, self.F)
+        try:
+            return go(core, self.T, self.F)
+        finally:
+            # go refers to itself and to this forest: break the cycle so the
+            # forest is freed when the caller drops it, not by the collector.
+            del go
 
     def subst(self, p: int, q: int, r: int) -> int:
         if p < 3:
@@ -287,7 +292,10 @@ def is_mem_basic(p: BasicForm) -> bool:
             below[id(t)] = lo | hi | bit
         return below[id(t)]
 
-    return atoms(p, 0) >= 0
+    try:
+        return atoms(p, 0) >= 0
+    finally:
+        del atoms  # atoms refers to itself; leave no cycle for the collector
 
 
 def render(p: BasicForm) -> Term:

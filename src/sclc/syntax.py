@@ -111,62 +111,34 @@ class Nor(Term):
 BINARY_TYPES = (And, Or, Iff, Xor, Nand, Nor)
 
 
-def is_closed(term: Term) -> bool:
-    """True iff the term contains no schema variables."""
+def subterms(term: Term):
+    """Every subterm occurrence in preorder, condition before branches.
+    Iterative; safe on deep input."""
     todo = [term]
     while todo:
         t = todo.pop()
-        if isinstance(t, Var):
-            return False
-        if isinstance(t, Cond):
-            todo += (t.then, t.cond, t.orelse)
+        yield t
+        if isinstance(t, BINARY_TYPES):
+            todo += (t.right, t.left)
+        elif isinstance(t, Cond):
+            todo += (t.orelse, t.then, t.cond)
         elif isinstance(t, Not):
             todo.append(t.arg)
-        elif isinstance(t, BINARY_TYPES):
-            todo += (t.left, t.right)
-    return True
+
+
+def is_closed(term: Term) -> bool:
+    """True iff the term contains no schema variables."""
+    return Var not in map(type, subterms(term))
 
 
 def atoms_of(term: Term) -> list[str]:
     """Atom names in first-inspection order (condition before branches)."""
-    seen: dict[str, None] = {}
-
-    def walk(t: Term) -> None:
-        if isinstance(t, Atom):
-            seen.setdefault(t.name, None)
-        elif isinstance(t, Cond):
-            walk(t.cond)
-            walk(t.then)
-            walk(t.orelse)
-        elif isinstance(t, Not):
-            walk(t.arg)
-        elif isinstance(t, BINARY_TYPES):
-            walk(t.left)
-            walk(t.right)
-
-    walk(term)
-    return list(seen)
+    return list(dict.fromkeys(t.name for t in subterms(term) if isinstance(t, Atom)))
 
 
 def vars_of(term: Term) -> list[str]:
-    """Variable names in left-to-right first-occurrence order."""
-    seen: dict[str, None] = {}
-
-    def walk(t: Term) -> None:
-        if isinstance(t, Var):
-            seen.setdefault(t.name, None)
-        elif isinstance(t, Cond):
-            walk(t.cond)
-            walk(t.then)
-            walk(t.orelse)
-        elif isinstance(t, Not):
-            walk(t.arg)
-        elif isinstance(t, BINARY_TYPES):
-            walk(t.left)
-            walk(t.right)
-
-    walk(term)
-    return list(seen)
+    """Variable names in first-occurrence order (condition before branches)."""
+    return list(dict.fromkeys(t.name for t in subterms(term) if isinstance(t, Var)))
 
 
 def term_depth(term: Term) -> int:
@@ -215,216 +187,176 @@ def dual(term: Term) -> Term:
 # Parsing
 # ---------------------------------------------------------------------------
 
+# Open "(" plus pending "!" that parse accepts, and the term depth that the
+# normalizers accept.
+DEFAULT_DEPTH_LIMIT = 10_000
+
 # Multi-character operators first so the scanner takes the longest match.
-_OPERATORS = [
-    ("<->", "IFF"),
-    ("<|", "LTRI"),
-    ("|>", "RTRI"),
-    ("||", "OR"),
-    ("&&", "AND"),
-    ("~&", "NAND"),
-    ("~|", "NOR"),
-    ("^^", "XOR"),
-    ("(", "LPAREN"),
-    (")", "RPAREN"),
-    ("!", "NOT"),
+_OPERATORS = {
+    "<->": "IFF",
+    "<|": "LTRI",
+    "|>": "RTRI",
+    "||": "OR",
+    "&&": "AND",
+    "~&": "NAND",
+    "~|": "NOR",
+    "^^": "XOR",
+    "(": "LPAREN",
+    ")": "RPAREN",
+    "!": "NOT",
     # Unicode aliases.
-    ("∧ᵒ", "AND"),
-    ("∨ᵒ", "OR"),
-    ("↔ᵒ", "IFF"),
-    ("⊕ᵒ", "XOR"),
-    ("∧", "AND"),
-    ("∨", "OR"),
-    ("↔", "IFF"),
-    ("⊕", "XOR"),
-    ("¬", "NOT"),
-    ("⊼", "NAND"),
-    ("⊽", "NOR"),
-    ("◁", "LTRI"),
-    ("▷", "RTRI"),
-]
+    "∧ᵒ": "AND",
+    "∨ᵒ": "OR",
+    "↔ᵒ": "IFF",
+    "⊕ᵒ": "XOR",
+    "∧": "AND",
+    "∨": "OR",
+    "↔": "IFF",
+    "⊕": "XOR",
+    "¬": "NOT",
+    "⊼": "NAND",
+    "⊽": "NOR",
+    "◁": "LTRI",
+    "▷": "RTRI",
+}
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# Blanks, then an operator or identifier (group 1) or any other character
+# (group 2, an error).
+_TOKEN_RE = re.compile(r"[ \t\r\n]*(?:(" + "|".join(map(re.escape, _OPERATORS))
+                       + r"|[A-Za-z_][A-Za-z0-9_]*)|([^ \t\r\n]))")
+
+# Token kind -> (binding strength, constructor), loosest to tightest.  parse
+# reduces by it and print_term parenthesizes by it.
+_BINDING = {
+    "LTRI": (10, Cond),
+    "IFF": (20, Iff),
+    "XOR": (30, Xor),
+    "OR": (40, Or),
+    "AND": (50, And),
+    "NAND": (60, Nand),
+    "NOR": (60, Nor),
+    "NOT": (70, Not),
+}
+_PREC = {ctor: strength for strength, ctor in _BINDING.values()}
+_INFIX = {kind: entry for kind, entry in _BINDING.items() if entry[1] in BINARY_TYPES}
+_LEAVES = {"CONST": Const, "ATOM": Atom, "VAR": Var}
+
+# A token that is no infix operator reduces everything binding tighter than
+# the conditional, down to the innermost marker.
+_CLOSING = (_PREC[Cond] + 1, None)
+# Markers on the parse stack are named by the token kind that closes them.
+_BOTTOM = (0, "EOF", ())
+_PAREN = (0, "RPAREN", ())
+_NOT = (_PREC[Not], Not, ())
+
+_OPERAND = frozenset({"'T'", "'F'", "'U'", "atom", "variable", "'('", "'!'"})
+_EXPECTED = {"EOF": frozenset({"end of input", "operator"}),
+             "RPAREN": frozenset({"')'"}), "RTRI": frozenset({"'|>'"})}
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+def _position(text: str, at: int) -> tuple[int, int]:
+    """1-based line and column of offset `at`."""
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        for op, kind in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(_Token(kind, op, line, col))
-                i += len(op)
-                col += len(op)
-                break
+def _scan(text: str):
+    """Yield (kind, text, offset) per token, then ("EOF", "", len(text))."""
+    for m in _TOKEN_RE.finditer(text):
+        word, bad = m.groups()
+        if bad is not None:
+            raise ParseError(f"unexpected character {bad!r}", *_position(text, m.start(2)))
+        if word in _OPERATORS:
+            kind = _OPERATORS[word]
+        elif word in ("T", "F", "U"):
+            kind = "CONST"
+        elif ATOM_RE.match(word):
+            kind = "ATOM"
+        elif VAR_RE.match(word):
+            kind = "VAR"
         else:
-            m = _IDENT_RE.match(text, i)
-            if m:
-                word = m.group()
-                if word in ("T", "F", "U"):
-                    kind = "CONST"
-                elif ATOM_RE.match(word):
-                    kind = "ATOM"
-                elif VAR_RE.match(word):
-                    kind = "VAR"
-                else:
-                    raise AtomCaseError(
-                        f"identifier {word!r} is neither an atom nor a variable",
-                        line, col,
-                        frozenset({"atom [a-z][a-z0-9_]*", "variable [A-Z][A-Za-z0-9_]*"}),
-                    )
-                tokens.append(_Token(kind, word, line, col))
-                i += len(word)
-                col += len(word)
-            else:
-                raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
-    return tokens
+            raise AtomCaseError(
+                f"identifier {word!r} is neither an atom nor a variable",
+                *_position(text, m.start(1)),
+                frozenset({"atom [a-z][a-z0-9_]*", "variable [A-Z][A-Za-z0-9_]*"}),
+            )
+        yield kind, word, m.start(1)
+    yield "EOF", "", len(text)
 
 
-class _Parser:
-    """Recursive descent over the grammar:
-
-    term   := cond
-    cond   := iff ( "<|" iff "|>" iff )?       one level, non-associative
-    iff    := xor  ( "<->" xor )*              left-associative
-    xor    := or   ( "^^"  or  )*
-    or     := and  ( "||"  and )*
-    and    := nand ( "&&"  nand)*
-    nand   := unary ( ("~&" | "~|") unary )*
-    unary  := "!" unary | primary
-    primary:= "T" | "F" | "U" | atom | variable | "(" term ")"
-    """
-
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    @property
-    def tok(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        t = self.tok
-        self.pos += 1
-        return t
-
-    def expect(self, kind: str, what: str) -> _Token:
-        if self.tok.kind != kind:
-            self.fail(frozenset({what}))
-        return self.advance()
-
-    def fail(self, expected: frozenset[str]):
-        t = self.tok
-        shown = t.text if t.kind != "EOF" else "end of input"
-        raise ParseError(f"unexpected {shown!r}", t.line, t.column, expected)
-
-    def parse(self) -> Term:
-        t = self.cond()
-        if self.tok.kind != "EOF":
-            self.fail(frozenset({"end of input", "operator"}))
-        return t
-
-    def cond(self) -> Term:
-        first = self.iff()
-        if self.tok.kind == "LTRI":
-            self.advance()
-            middle = self.iff()
-            self.expect("RTRI", "'|>'")
-            last = self.iff()
-            return Cond(first, middle, last)
-        return first
-
-    def _chain(self, sub, kinds: dict[str, type]) -> Term:
-        t = sub()
-        while self.tok.kind in kinds:
-            op = kinds[self.advance().kind]
-            t = op(t, sub())
-        return t
-
-    def iff(self) -> Term:
-        return self._chain(self.xor, {"IFF": Iff})
-
-    def xor(self) -> Term:
-        return self._chain(self.or_, {"XOR": Xor})
-
-    def or_(self) -> Term:
-        return self._chain(self.and_, {"OR": Or})
-
-    def and_(self) -> Term:
-        return self._chain(self.nand, {"AND": And})
-
-    def nand(self) -> Term:
-        return self._chain(self.unary, {"NAND": Nand, "NOR": Nor})
-
-    def unary(self) -> Term:
-        if self.tok.kind == "NOT":
-            self.advance()
-            return Not(self.unary())
-        return self.primary()
-
-    def primary(self) -> Term:
-        t = self.tok
-        if t.kind == "CONST":
-            self.advance()
-            return Const(t.text)
-        if t.kind == "ATOM":
-            self.advance()
-            return Atom(t.text)
-        if t.kind == "VAR":
-            self.advance()
-            return Var(t.text)
-        if t.kind == "LPAREN":
-            self.advance()
-            inner = self.cond()
-            self.expect("RPAREN", "')'")
-            return inner
-        self.fail(frozenset({"'T'", "'F'", "'U'", "atom", "variable", "'('", "'!'"}))
-        raise AssertionError("unreachable")
+def _fail(text: str, tokens, at: int, message: str, expected=frozenset()):
+    # Scan the rest first: a bad character or identifier anywhere in the
+    # text is reported before any grammar error.
+    for _ in tokens:
+        pass
+    raise ParseError(message, *_position(text, at), expected)
 
 
 def parse(text: str) -> Term:
-    """Parse the expression grammar; raises ParseError on malformed input."""
-    return _Parser(_tokenize(text)).parse()
+    """Parse a term; raises ParseError on malformed input.
+
+    term    := iff ( "<|" iff "|>" iff )?      one level, non-associative
+    iff     := xor  ( "<->" xor )*             left-associative
+    xor     := or   ( "^^"  or  )*
+    or      := and  ( "||"  and )*
+    and     := nand ( "&&"  nand)*
+    nand    := unary ( ("~&" | "~|") unary )*
+    unary   := "!" unary | primary
+    primary := "T" | "F" | "U" | atom | variable | "(" term ")"
+
+    Open "(" plus pending "!" nest at most DEFAULT_DEPTH_LIMIT deep; the
+    token that opens the next level raises ParseError.  One loop over an
+    explicit stack, so deep input needs no recursion.
+    """
+    tokens = _scan(text)
+    # Entries are (strength, constructor or marker, operands so far); a
+    # reduction applies the constructor to those operands and the term.
+    stack = [_BOTTOM]
+    depth = 0
+    while True:
+        kind, word, at = next(tokens)
+        if kind == "NOT" or kind == "LPAREN":
+            depth += 1
+            if depth > DEFAULT_DEPTH_LIMIT:
+                _fail(text, tokens, at, f"nesting deeper than {DEFAULT_DEPTH_LIMIT}")
+            stack.append(_NOT if kind == "NOT" else _PAREN)
+            continue
+        if kind not in _LEAVES:
+            _fail(text, tokens, at, f"unexpected {word or 'end of input'!r}", _OPERAND)
+        term = _LEAVES[kind](word)
+        while True:
+            kind, word, at = next(tokens)
+            strength, ctor = _INFIX.get(kind, _CLOSING)
+            while stack[-1][0] >= strength:
+                _, done, operands = stack.pop()
+                term = done(*operands, term)
+                if done is Not:
+                    depth -= 1
+            if ctor is not None:
+                stack.append((strength, ctor, (term,)))
+                break
+            _, closer, operands = stack[-1]
+            if closer is Cond:  # the else branch ends at this token
+                stack.pop()
+                term = Cond(*operands, term)
+                closer = stack[-1][1]
+            elif kind == "LTRI" and closer != "RTRI":
+                stack.append((_PREC[Cond], "RTRI", (term,)))
+                break
+            if kind != closer:
+                _fail(text, tokens, at, f"unexpected {word or 'end of input'!r}",
+                      _EXPECTED[closer])
+            if kind == "EOF":
+                return term
+            if kind == "RTRI":
+                stack[-1] = (_PREC[Cond], Cond, (*operands, term))
+                break
+            stack.pop()
+            depth -= 1
 
 
 # ---------------------------------------------------------------------------
 # Printing
 # ---------------------------------------------------------------------------
-
-# Binding strengths, loosest to tightest.  Cond children print at the iff
-# level so any nested conditional is parenthesized.
-_PREC_COND = 10
-_PREC_IFF = 20
-_PREC_XOR = 30
-_PREC_OR = 40
-_PREC_AND = 50
-_PREC_NAND = 60
-_PREC_NOT = 70
-_PREC_LEAF = 100
-
-_BIN_PREC = {Iff: _PREC_IFF, Xor: _PREC_XOR, Or: _PREC_OR, And: _PREC_AND,
-             Nand: _PREC_NAND, Nor: _PREC_NAND}
 
 _ASCII_OPS = {Iff: "<->", Xor: "^^", Or: "||", And: "&&", Nand: "~&", Nor: "~|"}
 _UNICODE_OPS = {Iff: "↔ᵒ", Xor: "⊕ᵒ", Or: "∨ᵒ", And: "∧ᵒ", Nand: "⊼", Nor: "⊽"}
@@ -453,16 +385,18 @@ def print_term(term: Term, style: str = "ascii", primes: bool = False) -> str:
             case Atom(name) | Var(name):
                 return name
             case Nand(x, Const("T")) if primes:
-                return go(x, _PREC_NOT) + prime
+                return go(x, _PREC[Not]) + prime
             case Not(x):
-                s = neg + go(x, _PREC_NOT)
-                p = _PREC_NOT
+                p = _PREC[Not]
+                s = neg + go(x, p)
             case Cond(then, cond, orelse):
-                s = (f"{go(then, _PREC_IFF)} {ltri} {go(cond, _PREC_IFF)}"
-                     f" {rtri} {go(orelse, _PREC_IFF)}")
-                p = _PREC_COND
+                # Parts print at the iff level, so a nested conditional is
+                # parenthesized.
+                s = (f"{go(then, _PREC[Iff])} {ltri} {go(cond, _PREC[Iff])}"
+                     f" {rtri} {go(orelse, _PREC[Iff])}")
+                p = _PREC[Cond]
             case _:
-                p = _BIN_PREC[type(t)]
+                p = _PREC[type(t)]
                 s = f"{go(t.left, p)} {ops[type(t)]} {go(t.right, p + 1)}"
         return f"({s})" if p < min_prec else s
 

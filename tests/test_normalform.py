@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -80,6 +81,21 @@ class TestBf:
             t = Not(t)
         with pytest.raises(DepthLimitError):
             bf(t, depth_limit=200)
+
+    def test_leaves_no_cycle_for_the_collector(self):
+        # A reference cycle through the forest would keep every table alive
+        # until the cycle collector runs.
+        t = parse("(a ~& b) ~& (c <-> (a ~& d))")
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for normalize in (bf, mbf):
+                normalize(t)
+                assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestReduce:

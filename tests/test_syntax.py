@@ -1,9 +1,16 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import sclc
 from sclc.errors import AtomCaseError, ParseError
 from sclc.syntax import (
-    FF, TT, UU, And, Atom, Cond, Const, Iff, Nand, Nor, Not, Or, Var, Xor,
+    FF, TT, UU, And, Atom, Cond, Const, Iff, Nand, Nor, Not, Or, Term, Var, Xor,
     atoms_of, dual, is_closed, parse, print_term, vars_of,
 )
 
@@ -26,6 +33,14 @@ def terms(with_vars=True):
         ),
         max_leaves=20,
     )
+
+
+# Operators, identifiers, blanks and a few characters outside the grammar.
+GRAMMAR_PIECES = [
+    "a", "b1", "X", "T", "F", "U", "<->", "<|", "|>", "||", "&&", "~&", "~|",
+    "^^", "(", ")", "!", "∧ᵒ", "∨", "↔ᵒ", "⊕", "¬", "⊼", "⊽", "◁", "▷",
+    " ", "\n", "\t", "<", "|", "&", "~", "_", "B", "ᵒ", "@",
+]
 
 
 class TestParse:
@@ -89,6 +104,129 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("a @ b")
 
+    @given(st.lists(st.sampled_from(GRAMMAR_PIECES), max_size=30).map("".join))
+    def test_any_text_parses_or_raises_parse_error(self, text):
+        try:
+            assert isinstance(parse(text), Term)
+        except ParseError:
+            pass
+
+
+OPERAND = frozenset({"'T'", "'F'", "'U'", "atom", "variable", "'('", "'!'"})
+END = frozenset({"end of input", "operator"})
+IDENT = frozenset({"atom [a-z][a-z0-9_]*", "variable [A-Z][A-Za-z0-9_]*"})
+
+# Exact parse errors: class, message, position and expected set.
+PARSE_ERRORS = [
+    ("", ParseError, "unexpected 'end of input'", 1, 1, OPERAND),
+    ("a &&", ParseError, "unexpected 'end of input'", 1, 5, OPERAND),
+    ("(a", ParseError, "unexpected 'end of input'", 1, 3, {"')'"}),
+    ("a <| b", ParseError, "unexpected 'end of input'", 1, 7, {"'|>'"}),
+    ("a <| b <| c", ParseError, "unexpected '<|'", 1, 8, {"'|>'"}),
+    ("a <| b |> c <| d |> e", ParseError, "unexpected '<|'", 1, 13, END),
+    ("(a <| b |> c <| d)", ParseError, "unexpected '<|'", 1, 14, {"')'"}),
+    ("a b", ParseError, "unexpected 'b'", 1, 3, END),
+    ("(a b)", ParseError, "unexpected 'b'", 1, 4, {"')'"}),
+    ("a )", ParseError, "unexpected ')'", 1, 3, END),
+    ("!", ParseError, "unexpected 'end of input'", 1, 2, OPERAND),
+    ("a &&\n  ||", ParseError, "unexpected '||'", 2, 3, OPERAND),
+    ("a @ b", ParseError, "unexpected character '@'", 1, 3, set()),
+    ("aBad", AtomCaseError, "identifier 'aBad' is neither an atom nor a variable",
+     1, 1, IDENT),
+    ("  _x", AtomCaseError, "identifier '_x' is neither an atom nor a variable",
+     1, 3, IDENT),
+    ("|> a", ParseError, "unexpected '|>'", 1, 1, OPERAND),
+    ("a ◁ b ▷ c ▷", ParseError, "unexpected '▷'", 1, 11, END),
+    ("a\n\t&& )", ParseError, "unexpected ')'", 2, 5, OPERAND),
+    # A bad character anywhere is reported before a grammar error.
+    ("a b @", ParseError, "unexpected character '@'", 1, 5, set()),
+]
+
+
+@pytest.mark.parametrize("text,cls,message,line,column,expected", PARSE_ERRORS)
+def test_parse_error_table(text, cls, message, line, column, expected):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    shown = f" (expected {', '.join(sorted(expected))})" if expected else ""
+    assert type(e.value) is cls
+    assert str(e.value) == f"{message} at line {line}, column {column}{shown}"
+    assert (e.value.line, e.value.column, e.value.expected) == (line, column, expected)
+
+
+DEPTH_SCRIPT = r"""
+import json, sys
+from sclc.axioms import Schema
+from sclc.errors import ParseError
+from sclc.syntax import FF, Atom, Cond, Not, atoms_of, is_closed, parse, vars_of
+
+a, b = Atom("a"), Atom("b")
+texts = {
+    "bang": lambda n: "!" * n + "a",
+    "paren": lambda n: "(" * n + "a" + ")" * n,
+    "cond": lambda n: "a <| b |> (" * n + "F" + ")" * n,
+}
+peel = {  # one nesting level off, or None if the level is wrong
+    "bang": lambda t: t.arg if type(t) is Not else None,
+    "paren": lambda t: t,
+    "cond": lambda t: t.orelse if type(t) is Cond and (t.then, t.cond) == (a, b) else None,
+}
+leaf = {"bang": a, "paren": a, "cond": FF}
+
+
+def walks(t):
+    return [atoms_of(t), vars_of(t), is_closed(t), Schema("deep", t, t).uses_undef]
+
+
+out = {}
+for name, text in texts.items():
+    for n in (10_000, 10_001):
+        try:
+            t = parse(text(n))
+        except ParseError as e:
+            out[f"{name}-{n}"] = [str(e), e.line, e.column]
+            continue
+        out[f"{name}-{n}-walks"] = walks(t)
+        for _ in range(n):
+            t = t and peel[name](t)
+        out[f"{name}-{n}"] = t == leaf[name]
+out["walks"] = walks(parse("!" * 10_000 + "X && U"))
+out["siblings"] = type(parse("(!a) && " * 10_001 + "a")).__name__
+out["recursion_limit"] = sys.getrecursionlimit()
+print(json.dumps(out))
+"""
+
+
+def _fresh_python(*args):
+    """Run a fresh interpreter (recursion limit 1,000) with sclc importable."""
+    env = dict(os.environ, PYTHONPATH=str(Path(sclc.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_depth_limit_without_recursion():
+    done = _fresh_python("-c", DEPTH_SCRIPT)
+    assert done.returncode == 0, done.stderr
+    deep = "nesting deeper than 10000 at line 1, column"
+    assert json.loads(done.stdout) == {
+        "bang-10000": True, "paren-10000": True, "cond-10000": True,
+        "bang-10000-walks": [["a"], [], True, False],
+        "paren-10000-walks": [["a"], [], True, False],
+        "cond-10000-walks": [["b", "a"], [], True, False],
+        "bang-10001": [f"{deep} 10001", 1, 10001],
+        "paren-10001": [f"{deep} 10001", 1, 10001],
+        "cond-10001": [f"{deep} 110011", 1, 110011],
+        "walks": [[], ["X"], False, True],
+        "siblings": "And",
+        "recursion_limit": 1000,
+    }
+
+
+def test_cli_too_deep_is_a_usage_error():
+    x = "(" * 10_001 + "a" + ")" * 10_001
+    done = _fresh_python("-m", "sclc.cli", "eq", x, x)
+    assert done.returncode == 2
+    assert done.stderr == "sclc: nesting deeper than 10000 at line 1, column 10001\n"
+
 
 class TestPrint:
     def test_unicode_conditional(self):
@@ -124,13 +262,10 @@ class TestPrint:
         with pytest.raises(ValueError):
             print_term(TT, "latex")
 
+    @pytest.mark.parametrize("style", ["ascii", "unicode"])
     @given(terms())
-    def test_roundtrip(self, t):
-        assert parse(print_term(t, "ascii")) == t
-
-    @given(terms())
-    def test_roundtrip_unicode(self, t):
-        assert parse(print_term(t, "unicode")) == t
+    def test_roundtrip(self, style, t):
+        assert parse(print_term(t, style)) == t
 
 
 class TestDual:
