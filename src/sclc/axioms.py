@@ -7,11 +7,12 @@ unconditionally sound); the exhaustive strategy additionally sweeps every
 tuple of mem-basic forms over a small shared alphabet, as independent
 evidence that does not presuppose substitution-invariance.
 
-The sweep evaluates both sides as cond nodes over forest ids, the
-innermost variable as one vector of all its values per node.  Under
-memorising congruence every value is one of finitely many mem-basic forms,
-so a cond with one vector argument reads one row of the forest's cond
-table (Forest.mem_row); free mode has no such bound and goes per element.
+The sweep evaluates both sides as Forest.subst nodes over forest ids, the
+innermost variable as one vector of all its values per node.  Memorising
+sweeps share one memorising forest, where every value is one of finitely
+many mem-basic forms, so a cond with one vector argument reads one row of
+its cond table (Forest.mem_row); the rows live there.  A free sweep goes
+per element in a forest of its own, dropped when the check returns.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def check_schema(schema: Schema, mode: Mode, strategy: str = "fresh_atoms",
     variables = schema.variables
     sub = {v: Atom(a) for v, a in zip(variables, _fresh_names(schema, len(variables)))}
     lhs_t, rhs_t = instantiate(schema, sub)
-    forest = Forest()  # one forest: equal forms are one object
+    forest = Forest(mode.congruence == "mem")  # equal forms are one object
     lhs_nf = normal_form(lhs_t, mode, forest)
     rhs_nf = normal_form(rhs_t, mode, forest)
     if lhs_nf is not rhs_nf:
@@ -178,11 +179,12 @@ def check_sweep_args(k: int, budget: int, three_valued: bool) -> None:
             f"forms; got k={k}, budget={budget}")
 
 
-# One forest for every sweep in the process.  Its tables cache on ids, so
-# repeated instantiations share nearly all work and, under memorising
-# congruence, every value stays inside the finite universe of mem-basic
-# forms over the sweep alphabet.
-_FOREST = Forest()
+# The forest of every memorising sweep in the process: its values stay in
+# the finite mem-basic universe over the sweep alphabet, and its rows are
+# shared across schemas (a forest per check filled 1.2 M row entries, not
+# 555 K, and made mem sweeps 19-32% slower).  Free values are unbounded;
+# a free sweep runs faster in a fresh forest, dropped on return.
+_MEM_FOREST = Forest(mem=True)
 
 # Fixed multipliers for the per-variable domain permutations of a truncated
 # sweep; chosen coprime to the domain size at use.
@@ -222,14 +224,13 @@ def _compile(term: Term, var_order: list[str], forest: Forest,
 
 
 def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
-    forest = _FOREST
+    forest = _MEM_FOREST if mode.congruence == "mem" else Forest()
     variables = list(schema.variables)
     nvars = len(variables)
     alphabet = tuple(_fresh_names(schema, k))
     domain = [forest.from_tree(t)
               for t in enumerate_mem_basic(alphabet, mode.three_valued)]
-    mem = mode.congruence == "mem"
-    cond = forest.combine_mem if mem else forest.subst
+    cond = forest.subst
 
     nodes: list[tuple] = []
     index: dict[Term, int] = {}
@@ -273,7 +274,7 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
     last_values = [domain[d] for d in perms[last]] if nvars else []
 
     def cond_vector(args: list, vec: list[int]) -> list[int]:
-        if mem and len(vec) == 1:
+        if forest.mem and len(vec) == 1:
             xs = args.pop(vec[0])
             row = forest.mem_row(vec[0], *args)
             return list(map(row.__getitem__, xs))
@@ -319,6 +320,7 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
             bad_env = []
     else:
         run_level(0)
+    del run_level  # a cycle through itself that holds a free sweep's forest
 
     if bad_env is not None:
         sub = {v: render(forest.to_tree(domain[d]))

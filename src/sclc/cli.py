@@ -102,7 +102,7 @@ def _cmd_norm(args) -> int:
 
 def _cmd_eq(args) -> int:
     mode = _mode(args)
-    forest = normalform.Forest()
+    forest = normalform.Forest(mode.congruence == "mem")
     left = congruence.normal_form(parse(_read_expr(args.expr)), mode, forest)
     right = congruence.normal_form(parse(_read_expr(args.expr2)), mode, forest)
     _emit_tree(left, args)

@@ -50,7 +50,7 @@ def normal_form(term: Term, mode: Mode, forest: Forest | None = None) -> BasicFo
 
 def equiv(p: Term, q: Term, mode: Mode) -> bool:
     """Decide derivability of p = q in the mode's axiom system."""
-    forest = Forest()
+    forest = Forest(mode.congruence == "mem")
     return normal_form(p, mode, forest) is normal_form(q, mode, forest)
 
 

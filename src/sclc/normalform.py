@@ -8,7 +8,9 @@ root-to-leaf path (memorising congruence).  These are the basic forms of
 Bergstra and Ponse, "Proposition algebra" (ACM TOCL 12(3), 2011).
 
 Both run on a Forest, a hash-consed DAG of decision nodes; Node objects
-are built only for the result, one per distinct subtree.
+are built only for the result, one per distinct subtree.  A memorising
+forest applies the memorising rule once, in its node constructor, so its
+fold gives mem-basic forms and from_tree in it is mf.
 """
 
 from __future__ import annotations
@@ -66,7 +68,9 @@ class Forest:
     are integer ids, the leaves T, F and U are 0, 1 and 2.  A BDD unique
     table (Bryant, IEEE TC 1986), but nodes are only shared, never merged:
     T <| a |> T keeps its a.  Per node, a bitmask of the atoms at and below
-    it lets reduce() skip subtrees without its atom."""
+    it lets reduce() skip subtrees without its atom.  Forest(mem=True)
+    memorises: node(a, t, f) first reduces t by a = T and f by a = F, so
+    fold, subst and from_tree give mem-basic forms (from_tree is mf)."""
 
     # Free-mode sweeps can produce millions of distinct instantiations;
     # beyond this many memo entries, results are recomputed instead of
@@ -74,19 +78,22 @@ class Forest:
     CACHE_MAX = 3_000_000
     T, F, U = 0, 1, 2
 
-    def __init__(self):
+    def __init__(self, mem: bool = False):
+        self.mem = mem
         self._ids: dict[tuple[str, int, int], int] = {}
         self._rev: list[tuple[str, int, int] | None] = [None, None, None]
         self._mask: list[int] = [0, 0, 0]
         self._bits: dict[str, int] = {}
         self._trees: dict[int, BasicForm] = {0: LEAF_T, 1: LEAF_F, 2: LEAF_U}
         self._subst: dict[tuple[int, int, int], int] = {}
-        self._mf: dict[int, int] = {}
         self._reduce: dict[tuple[int, str, bool], int] = {}
         self._rows: dict[tuple[int, int, int], _Row] = {}
         self._row_entries = 0
 
     def node(self, atom: str, on_true: int, on_false: int) -> int:
+        if self.mem:
+            on_true, on_false = (self.reduce(on_true, atom, True),
+                                 self.reduce(on_false, atom, False))
         key = (atom, on_true, on_false)
         i = self._ids.get(key)
         if i is None:
@@ -113,9 +120,9 @@ class Forest:
         return self._trees[i]
 
     def fold(self, core: Term) -> int:
-        """Free basic form of a to_core result, threading the pending
-        true/false continuations down as eval_tree does: linear on chains.
-        Memoized on id(subterm), which holds while the caller keeps core."""
+        """Basic form of a to_core result, mem-basic in a memorising forest,
+        threading the pending continuations down as eval_tree does: linear
+        on chains.  Memoized on id(subterm): valid while core is kept."""
         memo: dict[tuple[int, int, int], int] = {}
 
         def go(t: Term, k_true: int, k_false: int) -> int:
@@ -164,21 +171,11 @@ class Forest:
             self._reduce[key] = out
         return out
 
-    def mf(self, p: int) -> int:
-        if p < 3:
-            return p
-        out = self._mf.get(p)
-        if out is None:
-            atom, t, f = self._rev[p]
-            out = self._mf[p] = self.node(atom, self.mf(self.reduce(t, atom, True)),
-                                          self.mf(self.reduce(f, atom, False)))
-        return out
-
     def mem_row(self, pos: int, a: int, b: int) -> "_Row":
-        """The memorising cond (t <| c |> e) as a function of the argument
-        at pos (0 cond, 1 then, 2 else), the other two fixed at a and b in
-        order: a dict from the varying id to the mem-basic result, filled
-        on first lookup.  All arguments are mem-basic."""
+        """subst as a function of the argument at pos (0 cond, 1 then,
+        2 else), the other two fixed at a and b in order: a dict from the
+        varying id to the result, filled on first lookup.  Used in
+        memorising forests, whose values are finitely many."""
         key = (pos, a, b)
         row = self._rows.get(key)
         if row is None:
@@ -186,11 +183,6 @@ class Forest:
             if self._row_entries < self.CACHE_MAX:
                 self._rows[key] = row
         return row
-
-    def combine_mem(self, c: int, t: int, e: int) -> int:
-        """Mem-basic form of (t <| c |> e), all arguments mem-basic."""
-        row = self._rows.get((0, t, e))
-        return (self.mem_row(0, t, e) if row is None else row)[c]
 
 
 class _Row(dict):
@@ -206,7 +198,7 @@ class _Row(dict):
         f = self.forest
         args = list(self.fixed)
         args.insert(self.pos, x)
-        v = f.mf(f.subst(*args))
+        v = f.subst(*args)
         if f._row_entries < f.CACHE_MAX:
             self[x] = v
             f._row_entries += 1
@@ -233,10 +225,12 @@ def _normalize(term: Term, depth_limit: int, forest: Forest | None,
     # can exceed the input depth (though not the input size); give it room.
     if sys.getrecursionlimit() < depth_limit + 2_000:
         sys.setrecursionlimit(depth_limit + 2_000)
-    forest = Forest() if forest is None else forest
+    if forest is None:
+        forest = Forest(mem)
+    elif forest.mem != mem:
+        raise ValueError("the forest's congruence does not match the call")
     try:
-        free = forest.fold(to_core(term))
-        return forest.to_tree(forest.mf(free) if mem else free)
+        return forest.to_tree(forest.fold(to_core(term)))
     except RecursionError:
         raise DepthLimitError("normal form grew past the recursion guard") from None
 
@@ -245,7 +239,8 @@ def bf(term: Term, depth_limit: int = DEFAULT_DEPTH_LIMIT,
        forest: Forest | None = None) -> BasicForm:
     """Normalize a closed term to its basic form (free congruence).  The
     result shares equal subtrees.  Forms normalized in one forest are equal
-    iff they are the same object; by default each call has its own."""
+    iff they are the same object; by default each call has its own.  A
+    passed forest must have the call's congruence, else ValueError."""
     return _normalize(term, depth_limit, forest, mem=False)
 
 
@@ -261,14 +256,15 @@ def reduce(p: BasicForm, atom: str, assume: bool) -> BasicForm:
 
 def mf(p: BasicForm) -> BasicForm:
     """Strip repeated atoms below each node, making the tree mem-basic."""
-    f = Forest()
-    return f.to_tree(f.mf(f.from_tree(p)))
+    f = Forest(mem=True)
+    return f.to_tree(f.from_tree(p))
 
 
 def mbf(term: Term, depth_limit: int = DEFAULT_DEPTH_LIMIT,
         forest: Forest | None = None) -> MemBasicForm:
-    """Normalize a closed term under memorising congruence: one mf pass
-    over the free DAG.  Sharing as in bf()."""
+    """Normalize a closed term under memorising congruence: bf's one fold,
+    in a Forest(mem=True), whose node constructor applies the memorising
+    rule once.  Sharing and a passed forest as in bf()."""
     return MemBasicForm(_normalize(term, depth_limit, forest, mem=True))
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import all_valuations, random_term
 from sclc.axioms import (
-    Schema, Verdict, _exhaustive, _fresh_names, _permutation, builtin_tables,
-    check_schema, check_table, instantiate, table_by_name,
+    _MEM_FOREST, Schema, Verdict, _exhaustive, _fresh_names, _permutation,
+    builtin_tables, check_schema, check_table, instantiate, table_by_name,
 )
 from sclc.congruence import (
     FREE, FREE3, MEM, MEM3, equiv, eval_tree, normal_form, trace_eval,
@@ -114,6 +114,20 @@ class TestExhaustive:
         assert r.count == 5_000
         assert r.budget_exceeded
 
+    def test_memorising_sweep_forest_stays_mem_basic(self):
+        check_schema(table_by_name("CPmem").schemas[1], MEM, "exhaustive",
+                     budget=5_000)
+        f = _MEM_FOREST
+        for atom, t, e in f._rev[3:]:
+            assert not (f._mask[t] | f._mask[e]) & f._bits[atom]
+
+    def test_free_sweep_leaves_the_memorising_forest_alone(self):
+        before = len(_MEM_FOREST._rev)
+        r = check_schema(table_by_name("CP").schemas[3], FREE, "exhaustive",
+                         budget=5_000)
+        assert r.count == 5_000
+        assert len(_MEM_FOREST._rev) == before
+
     @pytest.mark.parametrize("k,budget,three_valued", [
         (-1, 10, False), (2, 0, False), (2, -5, False),
         (2, 73, False), (2, 290, True), (0, 1, False),
@@ -177,7 +191,7 @@ def _reference_sweep(s, mode, k, budget):
     for digits in itertools.product(*perms):
         count += 1
         sub = {v: domain[d] for v, d in zip(s.variables, digits)}
-        forest = Forest()
+        forest = Forest(mode.congruence == "mem")
         lhs, rhs = instantiate(s, sub)
         if normal_form(lhs, mode, forest) is not normal_form(rhs, mode, forest):
             return count, False, sub

@@ -8,8 +8,9 @@ from conftest import all_valuations, random_basic_form, random_term
 from sclc.congruence import TruthValue3, eval_tree, trace_eval
 from sclc.errors import DepthLimitError, InvariantError, OpenTermError
 from sclc.normalform import (
-    LEAF_F, LEAF_T, LEAF_U, Forest, MemBasicForm, Node, bf, enumerate_mem_basic,
-    is_mem_basic, mbf, mf, reduce, render, subst_tf, to_json,
+    LEAF_F, LEAF_T, LEAF_U, Forest, Leaf, MemBasicForm, Node, bf,
+    enumerate_mem_basic, is_mem_basic, mbf, mf, reduce, render, subst_tf,
+    to_json,
 )
 from sclc.syntax import And, Atom, Iff, Not, Or, Var, Xor, parse
 
@@ -123,16 +124,47 @@ class TestMf:
         assert mf(Node(a, LEAF_T, LEAF_F)) == Node(a, LEAF_T, LEAF_F)
 
 
+def _top_down_mf(p):
+    """Reference mf on Node trees, no memorising forest involved:
+    mf(P <| a |> Q) = mf(l_a P) <| a |> mf(r_a Q), by the free reduce."""
+    if isinstance(p, Leaf):
+        return p
+    return Node(p.atom, _top_down_mf(reduce(p.on_true, p.atom, True)),
+                _top_down_mf(reduce(p.on_false, p.atom, False)))
+
+
+class TestMemorisingForest:
+    @pytest.mark.parametrize("undef", [False, True], ids=["two", "three"])
+    def test_matches_top_down_mf(self, undef):
+        rng = random.Random(11 if undef else 10)
+        alphabets = [("a", "b"), ("a", "b", "c"), ("a", "b", "c", "d")]
+        for i in range(1_000):
+            p = random_basic_form(rng, alphabets[i % 3], 6, undef)
+            assert mf(p) == _top_down_mf(p)
+        for i in range(1_000):
+            t = random_term(rng, alphabets[i % 3], max_depth=5,
+                            connectives=("full", "scl", "nand")[i // 3 % 3],
+                            undef=undef)
+            assert mbf(t).tree == _top_down_mf(bf(t))
+
+    def test_forest_must_match_the_congruence(self):
+        t = parse("a && (b || a)")
+        with pytest.raises(ValueError):
+            bf(t, forest=Forest(mem=True))
+        with pytest.raises(ValueError):
+            mbf(t, forest=Forest())
+
+
 class TestMemRows:
     def test_rows_agree_with_mf_of_subst_under_a_small_cap(self):
-        forest = Forest()
+        forest = Forest(mem=True)
         forest.CACHE_MAX = 50  # past it, rows compute without storing
         forms = enumerate_mem_basic((a, b), three_valued=True)[::23]
         ids = {id(t): forest.from_tree(t) for t in forms}
         for c, t, e in itertools.product(forms, repeat=3):
             want = mf(subst_tf(c, t, e))
             c_, t_, e_ = ids[id(c)], ids[id(t)], ids[id(e)]
-            for got in (forest.combine_mem(c_, t_, e_),
+            for got in (forest.subst(c_, t_, e_),
                         forest.mem_row(0, t_, e_)[c_],
                         forest.mem_row(1, c_, e_)[t_],
                         forest.mem_row(2, c_, t_)[e_]):
