@@ -72,8 +72,8 @@ class Forest:
     memorises: node(a, t, f) first reduces t by a = T and f by a = F, so
     fold, subst and from_tree give mem-basic forms (from_tree is mf)."""
 
-    # Free-mode sweeps can produce millions of distinct instantiations;
-    # beyond this many memo entries, results are recomputed instead of
+    # Bounds a memorising forest's subst memo and its row entries, which
+    # outlive single checks; past it, results are recomputed instead of
     # stored (the per-subtree caches underneath keep that cheap).
     CACHE_MAX = 3_000_000
     T, F, U = 0, 1, 2
@@ -102,6 +102,26 @@ class Forest:
             bit = self._bits.setdefault(atom, 1 << len(self._bits))
             self._mask.append(bit | self._mask[on_true] | self._mask[on_false])
         return i
+
+    def __len__(self) -> int:  # ids handed out, the leaves included
+        return len(self._rev)
+
+    def mark(self) -> tuple[int, int, int, int]:
+        return len(self._rev), len(self._subst), len(self._reduce), len(self._trees)
+
+    def rollback(self, mark: tuple[int, int, int, int]) -> None:
+        """Forget the nodes and memo entries made since mark(); free forests
+        only, as rows gain entries in place.  Ids and entries come in order,
+        older entries name only older ids: popping restores it exactly."""
+        if self.mem:
+            raise ValueError("a memorising forest cannot roll back")
+        nodes, *memos = mark
+        for _ in range(len(self._rev) - nodes):
+            self._ids.popitem()
+        del self._rev[nodes:], self._mask[nodes:]
+        for memo, n in zip((self._subst, self._reduce, self._trees), memos):
+            for _ in range(len(memo) - n):
+                memo.popitem()
 
     def from_tree(self, t: BasicForm, seen: dict[int, int] | None = None) -> int:
         if isinstance(t, Leaf):

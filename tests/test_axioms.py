@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import all_valuations, random_term
+from sclc import axioms
 from sclc.axioms import (
     _MEM_FOREST, Schema, Verdict, _exhaustive, _fresh_names, _permutation,
     builtin_tables, check_schema, check_table, instantiate, table_by_name,
@@ -217,11 +218,8 @@ class TestSweepReference:
         ("TF", "T", "F"),
     ]
 
-    @pytest.mark.parametrize("mode", [MEM, FREE, MEM3, FREE3],
-                             ids=["mem", "free", "mem3", "free3"])
-    @pytest.mark.parametrize("name,lhs,rhs", SCHEMAS, ids=[n for n, *_ in SCHEMAS])
-    def test_matches_brute_force(self, mode, name, lhs, rhs):
-        s = schema(name, lhs, rhs)
+    @staticmethod
+    def _check(s, mode):
         # 77 stops two-valued sweeps three digits into the second vector;
         # 5,000 stops inside a vector in both valuednesses.
         for budget in ((77, 5_000) if not mode.three_valued else (5_000,)):
@@ -230,6 +228,77 @@ class TestSweepReference:
             assert (got.count, got.budget_exceeded, got.witness) == \
                 (count, exceeded, witness)
             assert got.refuted == (witness is not None)
+
+    @pytest.mark.parametrize("mode", [MEM, FREE, MEM3, FREE3],
+                             ids=["mem", "free", "mem3", "free3"])
+    @pytest.mark.parametrize("name,lhs,rhs", SCHEMAS, ids=[n for n, *_ in SCHEMAS])
+    def test_matches_brute_force(self, mode, name, lhs, rhs):
+        self._check(schema(name, lhs, rhs), mode)
+
+    @pytest.mark.parametrize("mode", [FREE, FREE3], ids=["free", "free3"])
+    @pytest.mark.parametrize("name,lhs,rhs", SCHEMAS, ids=[n for n, *_ in SCHEMAS])
+    def test_matches_brute_force_rolling_back_every_digit(
+            self, monkeypatch, mode, name, lhs, rhs):
+        # At bound 1 a free sweep rolls back after every outer digit, so
+        # the refutations here are found after rollbacks.
+        monkeypatch.setattr(axioms, "_ROLLBACK_NODES", 1)
+        self._check(schema(name, lhs, rhs), mode)
+
+    @staticmethod
+    def _sweep_sizes(monkeypatch, s, bound):
+        """Free sweep of s at budget 100,000 and the given rollback bound:
+        (count, budget_exceeded), every node count the levels read, the
+        first mark's node count and the number of rollbacks."""
+        reads, marks, rollbacks = [], [], []
+        size, mark, rollback = Forest.__len__, Forest.mark, Forest.rollback
+
+        def counted_size(forest):
+            reads.append(size(forest))
+            return reads[-1]
+
+        def counted_mark(forest):
+            marks.append(mark(forest))
+            return marks[-1]
+
+        def counted_rollback(forest, m):
+            rollbacks.append(m)
+            rollback(forest, m)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(axioms, "_ROLLBACK_NODES", bound)
+            patch.setattr(Forest, "__len__", counted_size)
+            patch.setattr(Forest, "mark", counted_mark)
+            patch.setattr(Forest, "rollback", counted_rollback)
+            r = _exhaustive(s, FREE, 2, 100_000)
+        return (r.count, r.budget_exceeded), reads, marks[0][0], len(rollbacks)
+
+    def test_free_forest_stays_under_a_ceiling(self, monkeypatch):
+        # CP4 has five variables, so four outer levels, each of which reads
+        # the forest's node count after every digit.  Let C bound what one
+        # level's conds build in one digit (the innermost level's: its whole
+        # vector).  After its check a level holds at most `bound` nodes past
+        # its mark.  A level marks one digit's conds after its parent's last
+        # check, so the fourth level's mark is at most 3 * (bound + C) past
+        # the first level's, `base`.  At a check the level below has just
+        # returned holding at most max(bound, C) past its own mark, so every
+        # read is at most base + 5 * (bound + C).  At bound 1 a level rolls
+        # back after nearly every digit, so its conds rebuild the most, and
+        # each read is base plus at least what they built: that run's
+        # largest read, less base, serves as C.  Bound 2,000
+        # keeps this ceiling well under the unbounded run's size at this
+        # budget, which the module's bound would not.
+        s = table_by_name("CP").schemas[3]
+        result, tiny, base, _ = self._sweep_sizes(monkeypatch, s, 1)
+        ceiling = base + 5 * (2_000 + max(tiny) - base)
+        bounded = self._sweep_sizes(monkeypatch, s, 2_000)
+        unbounded = self._sweep_sizes(monkeypatch, s, 10 ** 9)
+        assert bounded[3] > 0 and unbounded[3] == 0
+        assert max(bounded[1]) <= ceiling < max(unbounded[1])
+        assert result == bounded[0] == unbounded[0] == (100_000, True)
+        # A memorising sweep never rolls back (its forest would refuse).
+        monkeypatch.setattr(axioms, "_ROLLBACK_NODES", 1)
+        assert _exhaustive(table_by_name("CPmem").schemas[1], MEM, 2,
+                           5_000).count == 5_000
 
     def test_cases_reach_mid_vector(self):
         # The reference comparison above means something only if some

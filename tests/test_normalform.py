@@ -155,6 +155,45 @@ class TestMemorisingForest:
             mbf(t, forest=Forest())
 
 
+def _exercise(forest, trees):
+    """from_tree, subst, reduce and to_tree over trees; the trees built."""
+    ids = [forest.from_tree(t) for t in trees]
+    out = []
+    for p, q, r in zip(ids, ids[1:], ids[2:]):
+        s = forest.subst(p, q, r)
+        out += [forest.to_tree(s), forest.to_tree(forest.reduce(s, a, True)),
+                forest.to_tree(forest.reduce(p, b, False))]
+    return out
+
+
+class TestCheckpoint:
+    @staticmethod
+    def _tables(forest):
+        # Items in order: a later rollback pops by insertion order.
+        return [list(forest._ids.items()), list(forest._rev),
+                list(forest._mask), list(forest._subst.items()),
+                list(forest._reduce.items()), list(forest._trees.items())]
+
+    def test_rollback_restores_the_marked_forest(self):
+        rng = random.Random(31)
+        before, after = ([random_basic_form(rng, (a, b, "c"), 5, True)
+                          for _ in range(30)] for _ in range(2))
+        forest = Forest()
+        _exercise(forest, before)
+        mark, tables = forest.mark(), self._tables(forest)
+        # Memo entries on ids from before the mark, and new ids.
+        _exercise(forest, before[::2] + after)
+        assert len(forest) > mark[0]
+        forest.rollback(mark)
+        assert self._tables(forest) == tables
+        assert _exercise(forest, after) == _exercise(Forest(), after)
+
+    def test_memorising_forest_refuses(self):
+        forest = Forest(mem=True)
+        with pytest.raises(ValueError):
+            forest.rollback(forest.mark())
+
+
 class TestMemRows:
     def test_rows_agree_with_mf_of_subst_under_a_small_cap(self):
         forest = Forest(mem=True)
