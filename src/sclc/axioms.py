@@ -7,14 +7,19 @@ unconditionally sound); the exhaustive strategy additionally sweeps every
 tuple of mem-basic forms over a small shared alphabet, as independent
 evidence that does not presuppose substitution-invariance.
 
-The sweep evaluates both sides as Forest.subst nodes over forest ids, the
-innermost variable as one vector of all its values per node.  Memorising
+The sweep evaluates both sides as Forest.subst nodes over forest ids, one
+loop level per variable.  A node is computed in the loop of the last
+variable it reads, the innermost one aside, so only when one of them
+advances; before the loops if it reads no other.  A node that reads the
+innermost variable is a vector of one value per digit of it, and the
+innermost level only compares the two sides' vectors.  Memorising
 sweeps share one memorising forest, where every value is one of finitely
 many mem-basic forms, so a cond with one vector argument reads one row of
-its cond table (Forest.mem_row); the rows live there.  A free sweep goes
-per element in a forest of its own, dropped when the check returns; each
-outer loop level marks that forest and rolls back to the mark after a digit
-once the forest has grown past a fixed bound (Forest.rollback).
+its cond table (Forest.mem_row); the rows live there.  A free sweep runs
+in a forest of its own, dropped when the check returns, and computes a
+vector cond in one walk (Forest.subst_vector); each outer loop level marks
+that forest and rolls back to the mark after a digit once the forest has
+grown past a fixed bound (Forest.rollback).
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from __future__ import annotations
 import enum
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import repeat
 from math import gcd
 
 from .congruence import FREE, MEM, MEM3, Mode, normal_form
@@ -114,7 +118,10 @@ def instantiate(schema: Schema, sub: Mapping[str, Term]) -> tuple[Term, Term]:
             case _:
                 return t
 
-    return walk(schema.lhs), walk(schema.rhs)
+    try:
+        return walk(schema.lhs), walk(schema.rhs)
+    finally:
+        del walk  # walk refers to itself; leave no cycle for the collector
 
 
 def _fresh_names(schema: Schema, count: int) -> list[str]:
@@ -190,9 +197,10 @@ def check_sweep_args(k: int, budget: int, three_valued: bool) -> None:
 _MEM_FOREST = Forest(mem=True)
 
 # A free sweep's outer level rolls back to its mark after a digit once this
-# many nodes were built since.  Free tables' peak RSS: 366 MB unbounded,
-# 95 MB at 100,000, 49 MB here (under the memorising forest's ~78 MB), 20 MB
-# at 3,000; rolling back after every digit made EqFSCL/F7 up to 2x slower.
+# many nodes were built since.  Free tables' peak RSS: 162 MB unbounded,
+# 48 MB at 100,000, 29 MB here (under the memorising forest's ~78 MB), 17 MB
+# at 3,000; rolling back after every digit makes EqFSCL/F7 under 10% slower
+# (0.75-0.78 s against 0.69-0.72 s), as vector conds keep no subst memo.
 _ROLLBACK_NODES = 30_000
 
 # Fixed multipliers for the per-variable domain permutations of a truncated
@@ -239,56 +247,70 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
     alphabet = tuple(_fresh_names(schema, k))
     domain = [forest.from_tree(t)
               for t in enumerate_mem_basic(alphabet, mode.three_valued)]
-    cond = forest.subst
 
     nodes: list[tuple] = []
     index: dict[Term, int] = {}
     top_l = _compile(to_core(schema.lhs), variables, forest, nodes, index)
     top_r = _compile(to_core(schema.rhs), variables, forest, nodes, index)
 
-    # Split nodes by the innermost variable each one mentions: a node is
-    # recomputed exactly when that loop level advances.  The node list is
-    # already in dependency order, which the stable split preserves.  At
-    # the innermost level a node holds one value per digit (a list), so a
-    # cond records which of its arguments are such vectors.
-    var_level: list[int] = []
+    # A node's level is the largest index among the variables it mentions,
+    # the innermost one left out: the node is recomputed exactly when that
+    # loop level advances, and level -1 nodes once, before the loops.  A node
+    # that mentions the innermost variable is a vector, one value per digit
+    # of it; that variable's slot holds its whole permuted domain from the
+    # start, and the innermost level only compares the two tops' first n
+    # entries.  A vector cond reads a row in a memorising forest if it has
+    # one vector argument; otherwise Forest.subst_vector computes it, in a
+    # free forest in one walk where its shape allows.  The node list is in
+    # dependency order, which the split keeps.
+    last = nvars - 1
+    size = len(domain)
+    perms = [_permutation(j, size) for j in range(nvars)]
+    node_level: list[int] = []
+    is_vector: list[bool] = []
     var_sets: list[list[int]] = [[] for _ in range(nvars)]
     conds: list[list[tuple]] = [[] for _ in range(nvars)]
     slots: list = [0] * len(nodes)
+
+    def evaluate(a: int, b: int, c: int, vec: list[int]):
+        """The cond over slots a, b and c; vec lists its vector positions."""
+        args = [slots[a], slots[b], slots[c]]
+        if not vec:
+            return forest.subst(*args)
+        if forest.mem and len(vec) == 1:
+            xs = args.pop(vec[0])
+            row = forest.mem_row(vec[0], *args)
+            return list(map(row.__getitem__, xs))
+        return forest.subst_vector(*args)
+
     for i, op in enumerate(nodes):
         if op[0] == "const":
-            var_level.append(-1)
+            node_level.append(-1)
+            is_vector.append(False)
             slots[i] = op[1]
         elif op[0] == "var":
-            var_level.append(op[1])
-            var_sets[op[1]].append(i)
-        else:
-            levels = [var_level[c] for c in op[1:]]
-            lvl = max(levels)
-            var_level.append(lvl)
-            if lvl < 0:
-                slots[i] = cond(slots[op[1]], slots[op[2]], slots[op[3]])
+            inner = op[1] == last
+            node_level.append(-1 if inner else op[1])
+            is_vector.append(inner)
+            if inner:
+                slots[i] = [domain[d] for d in perms[last]]
             else:
-                vec = [p for p in range(3) if levels[p] == nvars - 1]
+                var_sets[op[1]].append(i)
+        else:
+            lvl = max(node_level[c] for c in op[1:])
+            vec = [p for p in range(3) if is_vector[op[p + 1]]]
+            node_level.append(lvl)
+            is_vector.append(bool(vec))
+            if lvl >= 0:
                 conds[lvl].append((i, *op[1:], vec))
+            else:
+                slots[i] = evaluate(*op[1:], vec)
 
-    size = len(domain)
-    perms = [_permutation(j, size) for j in range(nvars)]
     space = size ** nvars
     limit = min(space, budget)
     checked = 0
     bad_env: list[int] | None = None
     env = [0] * nvars
-    last = nvars - 1
-    last_values = [domain[d] for d in perms[last]] if nvars else []
-
-    def cond_vector(args: list, vec: list[int]) -> list[int]:
-        if forest.mem and len(vec) == 1:
-            xs = args.pop(vec[0])
-            row = forest.mem_row(vec[0], *args)
-            return list(map(row.__getitem__, xs))
-        return list(map(cond, *(a if p in vec else repeat(a)
-                                for p, a in enumerate(args))))
 
     def run_level(j: int) -> bool:
         """Loop one variable, the innermost one as a vector; returns True
@@ -296,12 +318,7 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
         nonlocal checked, bad_env
         if j == last:
             n = min(size, limit - checked)
-            values = last_values if n == size else last_values[:n]
-            for i in var_sets[j]:
-                slots[i] = values
-            for i, a, b, c, vec in conds[j]:
-                slots[i] = cond_vector([slots[a], slots[b], slots[c]], vec)
-            lhs, rhs = (v if isinstance(v, list) else [v] * n
+            lhs, rhs = (v[:n] if isinstance(v, list) else [v] * n
                         for v in (slots[top_l], slots[top_r]))
             if lhs != rhs:
                 pos = next(p for p in range(n) if lhs[p] != rhs[p])
@@ -318,8 +335,8 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
             value = domain[digit]
             for i in var_slots:
                 slots[i] = value
-            for i, a, b, c, _ in level_conds:
-                slots[i] = cond(slots[a], slots[b], slots[c])
+            for i, a, b, c, vec in level_conds:
+                slots[i] = evaluate(a, b, c, vec)
             if run_level(j + 1):
                 return True
             if mark is not None and len(forest) - mark[0] > _ROLLBACK_NODES:

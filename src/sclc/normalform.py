@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 
 from .errors import DepthLimitError, InvariantError, OpenTermError
 from .syntax import (
@@ -175,6 +175,63 @@ class Forest:
             if len(self._subst) < self.CACHE_MAX:
                 self._subst[key] = out
         return out
+
+    def subst_vector(self, p, q, r) -> list[int]:
+        """subst element by element: arguments that are lists are vectors of
+        one length, the others are broadcast.  In a free forest two shapes
+        take one walk and write nothing to the subst memo: a vector cond
+        with scalar branches walks the p_i under one memo, and a scalar cond
+        with vector branches walks p once over the distinct (q_i, r_i)
+        pairs.  Other shapes, and memorising forests, go through subst."""
+        vec_p, vec_q, vec_r = (isinstance(a, list) for a in (p, q, r))
+        if not (vec_p or vec_q or vec_r):
+            raise ValueError("subst_vector needs a vector argument")
+        if self.mem or vec_p and (vec_q or vec_r):
+            return list(map(self.subst, *(a if isinstance(a, list) else repeat(a)
+                                          for a in (p, q, r))))
+        ids, rev, mask, bits = self._ids, self._rev, self._mask, self._bits
+        if vec_p:  # one walk per element, sharing subtrees of the p_i
+            memo = {self.T: q, self.F: r, self.U: self.U}
+
+            def walk(x: int) -> int:  # x not in memo yet
+                atom, t, f = rev[x]
+                a, b = memo.get(t), memo.get(f)
+                key = (atom, walk(t) if a is None else a,
+                       walk(f) if b is None else b)
+                out = ids.get(key)  # node(), its unique table inlined
+                if out is None:
+                    out = ids[key] = len(rev)
+                    rev.append(key)
+                    mask.append(bits[atom] | mask[key[1]] | mask[key[2]])
+                memo[x] = out
+                return out
+        else:  # one walk of p over the distinct (q_i, r_i) pairs
+            qs, rs = (a if isinstance(a, list) else repeat(a) for a in (q, r))
+            pairs = dict.fromkeys(zip(qs, rs))
+            memo = {self.T: [a for a, _ in pairs], self.F: [b for _, b in pairs],
+                    self.U: [self.U] * len(pairs)}
+
+            def walk(x: int) -> list[int]:  # x not in memo yet
+                atom, t, f = rev[x]
+                a, b = memo.get(t), memo.get(f)
+                bit = bits[atom]
+                out = memo[x] = []
+                for key in zip(repeat(atom), walk(t) if a is None else a,
+                               walk(f) if b is None else b):
+                    i = ids.get(key)  # node(), its unique table inlined
+                    if i is None:
+                        i = ids[key] = len(rev)
+                        rev.append(key)
+                        mask.append(bit | mask[key[1]] | mask[key[2]])
+                    out.append(i)
+                return out
+        try:
+            if vec_p:
+                return [walk(x) if (y := memo.get(x)) is None else y for x in p]
+            results = dict(zip(pairs, memo[p] if p in memo else walk(p)))
+            return [results[pair] for pair in zip(qs, rs)]
+        finally:
+            del walk  # walk refers to itself: leave no cycle for the collector
 
     def reduce(self, p: int, atom: str, assume: bool) -> int:
         if not self._mask[p] & self._bits.get(atom, 0):
@@ -345,4 +402,7 @@ def enumerate_mem_basic(atoms: tuple[str, ...],
             out += [Node(a, l, r) for l, r in product(sub, sub)]
         return out
 
-    return forms(tuple(atoms))
+    try:
+        return forms(tuple(atoms))
+    finally:
+        del forms  # forms refers to itself; leave no cycle for the collector

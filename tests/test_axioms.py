@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -158,6 +159,21 @@ class TestExhaustive:
         r2 = check_schema(s, MEM, "exhaustive")
         assert r1 == r2
 
+    def test_leaves_no_cycle_for_the_collector(self):
+        # A cycle through a free sweep's forest would keep it alive until
+        # the cycle collector runs.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for s, mode in ((table_by_name("EqFSCL").schemas[9], FREE),
+                            (table_by_name("CPmem").schemas[1], MEM)):
+                check_schema(s, mode, "exhaustive", budget=5_000)
+                assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_agrees_with_direct_product_check(self):
         # The id-based sweep must reproduce a plain instantiate-and-compare
         # check over the same domain.
@@ -216,6 +232,12 @@ class TestSweepReference:
         ("IffByCond", "X <-> Y", "Y <| X |> (F <| Y |> T)"),
         ("Neg", "F", "!T"),
         ("TF", "T", "F"),
+        # Z && F needs no outer variable and X || (Z && F) is hoisted out
+        # of the Y loop; the last cond's cond and branch are both vectors.
+        ("F10", "(X && Y) || (Z && F)",
+         "(X || (Z && F)) && (Y || (Z && F))"),
+        ("hoisted", "(X || (Z && F)) && Y", "Y && (X || (Z && F))"),
+        ("twoBranches", "X <-> Z", "Z <| X |> !Z"),  # scalar cond, vector branches
     ]
 
     @staticmethod
@@ -299,6 +321,17 @@ class TestSweepReference:
         monkeypatch.setattr(axioms, "_ROLLBACK_NODES", 1)
         assert _exhaustive(table_by_name("CPmem").schemas[1], MEM, 2,
                            5_000).count == 5_000
+
+    def test_budget_stops_a_vector_before_its_refutation(self):
+        # Both are refuted at the fifth instantiation under MEM, so a budget
+        # of 4 ends the first vector just before the entry that differs.
+        for s in (schema("late", "(X && Y) || Z", "(Y && X) || Z"),
+                  schema("hoisted", "(X || (Z && F)) && Y",
+                         "Y && (X || (Z && F))")):
+            assert _exhaustive(s, MEM, 2, 10 ** 6).count == 5
+            got = _exhaustive(s, MEM, 2, 4)
+            assert (got.count, got.budget_exceeded, got.witness) == \
+                _reference_sweep(s, MEM, 2, 4) == (4, True, None)
 
     def test_cases_reach_mid_vector(self):
         # The reference comparison above means something only if some

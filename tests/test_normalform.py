@@ -194,6 +194,45 @@ class TestCheckpoint:
             forest.rollback(forest.mark())
 
 
+class TestSubstVector:
+    @pytest.mark.parametrize("undef", [False, True], ids=["two", "three"])
+    def test_matches_subst_per_element(self, undef):
+        rng = random.Random(43)
+        forest = Forest()
+        domain = [forest.from_tree(t)
+                  for t in enumerate_mem_basic((a, b), undef)]
+        # Scalars: domain forms and larger free forms that repeat atoms.
+        scalars = domain[::9] + [
+            forest.from_tree(random_basic_form(rng, (a, b, "c"), 5, undef))
+            for _ in range(6)]
+        # The whole domain, a truncated one, and vectors full of repeats.
+        vectors = [domain, domain[:5]] + [
+            [rng.choice(pool) for _ in range(40)]
+            for pool in (domain[:4], scalars[-4:])]
+        assert all(len(set(v)) < len(v) for v in vectors[2:])
+
+        def same_vector(v):
+            return [rng.choice(scalars + domain) for _ in v]
+
+        for v in vectors:
+            for s, s1, s2 in zip(scalars, scalars[1:] + scalars[:1],
+                                 scalars[2:] + scalars[:2]):
+                for args in ((v, s1, s2), (s, v, s2), (s, s1, v),
+                             (s, v, same_vector(v))):
+                    n_subst = len(forest._subst)
+                    got = forest.subst_vector(*args)
+                    assert len(forest._subst) == n_subst
+                    assert got == [forest.subst(*(x[i] if isinstance(x, list)
+                                                  else x for x in args))
+                                   for i in range(len(v))]
+            # A vector cond with a vector branch goes through subst.
+            w = same_vector(v)
+            assert forest.subst_vector(v, w, scalars[0]) == [
+                forest.subst(x, y, scalars[0]) for x, y in zip(v, w)]
+        with pytest.raises(ValueError):
+            forest.subst_vector(*scalars[:3])
+
+
 class TestMemRows:
     def test_rows_agree_with_mf_of_subst_under_a_small_cap(self):
         forest = Forest(mem=True)
