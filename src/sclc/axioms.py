@@ -11,15 +11,18 @@ The sweep evaluates both sides as Forest.subst nodes over forest ids, one
 loop level per variable.  A node is computed in the loop of the last
 variable it reads, the innermost one aside, so only when one of them
 advances; before the loops if it reads no other.  A node that reads the
-innermost variable is a vector of one value per digit of it, and the
-innermost level only compares the two sides' vectors.  Memorising
-sweeps share one memorising forest, where every value is one of finitely
-many mem-basic forms, so a cond with one vector argument reads one row of
-its cond table (Forest.mem_row); the rows live there.  A free sweep runs
-in a forest of its own, dropped when the check returns, and computes a
-vector cond in one walk (Forest.subst_vector); each outer loop level marks
-that forest and rolls back to the mark after a digit once the forest has
-grown past a fixed bound (Forest.rollback).
+innermost variable is a vector of one value per digit of it, computed by
+Forest.subst_vector, and the innermost level only compares the two sides'
+vectors.  Memorising sweeps share one memorising forest, where every value
+is one of finitely many mem-basic forms, and whose rows are its only
+subst memo: a cond row, for fixed branches, is a list indexed by the
+cond's id.  A vector in one argument reads one row per element (a then or
+else vector a dict row filled from the cond rows), a cond with two vector
+arguments a cond row per element.  A free sweep runs in a forest of its
+own, dropped when the check returns, and computes a vector cond in one
+walk; each outer loop level marks that forest and rolls back to the mark
+after a digit once the forest has grown past a fixed bound
+(Forest.rollback).
 """
 
 from __future__ import annotations
@@ -190,15 +193,18 @@ def check_sweep_args(k: int, budget: int, three_valued: bool) -> None:
 
 # The forest of every memorising sweep in the process: its values stay in
 # the finite mem-basic universe over the sweep alphabet, and its rows are
-# shared across schemas (a forest per check filled 1.2 M row entries, not
-# 555 K, and made mem sweeps 19-32% slower).  Free values are unbounded;
-# a free sweep runs faster in a fresh forest, dropped on return and rolled
-# back to level marks past _ROLLBACK_NODES (this one never rolls back).
+# shared across schemas: the builtin tables' memorising checks fill 5,476
+# cond rows with 410,916 slots (4.5 MB) and 6,170 then/else rows with
+# 519,944 entries (16.1 MB).  A forest per check, with the rows of an
+# earlier layout, filled twice the entries and made mem sweeps 19-32%
+# slower.  Free values are unbounded; a free sweep runs faster in a fresh
+# forest, dropped on return and rolled back to level marks past
+# _ROLLBACK_NODES (this one never rolls back).
 _MEM_FOREST = Forest(mem=True)
 
 # A free sweep's outer level rolls back to its mark after a digit once this
 # many nodes were built since.  Free tables' peak RSS: 162 MB unbounded,
-# 48 MB at 100,000, 29 MB here (under the memorising forest's ~78 MB), 17 MB
+# 48 MB at 100,000, 29 MB here (under the memorising forest's ~37 MB), 17 MB
 # at 3,000; rolling back after every digit makes EqFSCL/F7 under 10% slower
 # (0.75-0.78 s against 0.69-0.72 s), as vector conds keep no subst memo.
 _ROLLBACK_NODES = 30_000
@@ -259,10 +265,10 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
     # that mentions the innermost variable is a vector, one value per digit
     # of it; that variable's slot holds its whole permuted domain from the
     # start, and the innermost level only compares the two tops' first n
-    # entries.  A vector cond reads a row in a memorising forest if it has
-    # one vector argument; otherwise Forest.subst_vector computes it, in a
-    # free forest in one walk where its shape allows.  The node list is in
-    # dependency order, which the split keeps.
+    # entries.  Forest.subst_vector computes a vector cond: one row lookup
+    # per element in a memorising forest, one walk in a free forest where
+    # its shape allows.  The node list is in dependency order, which the
+    # split keeps.
     last = nvars - 1
     size = len(domain)
     perms = [_permutation(j, size) for j in range(nvars)]
@@ -272,16 +278,10 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
     conds: list[list[tuple]] = [[] for _ in range(nvars)]
     slots: list = [0] * len(nodes)
 
-    def evaluate(a: int, b: int, c: int, vec: list[int]):
-        """The cond over slots a, b and c; vec lists its vector positions."""
-        args = [slots[a], slots[b], slots[c]]
-        if not vec:
-            return forest.subst(*args)
-        if forest.mem and len(vec) == 1:
-            xs = args.pop(vec[0])
-            row = forest.mem_row(vec[0], *args)
-            return list(map(row.__getitem__, xs))
-        return forest.subst_vector(*args)
+    def evaluate(a: int, b: int, c: int, vec: bool):
+        """The cond over slots a, b and c; vec if one of them is a vector."""
+        args = slots[a], slots[b], slots[c]
+        return forest.subst_vector(*args) if vec else forest.subst(*args)
 
     for i, op in enumerate(nodes):
         if op[0] == "const":
@@ -298,9 +298,9 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
                 var_sets[op[1]].append(i)
         else:
             lvl = max(node_level[c] for c in op[1:])
-            vec = [p for p in range(3) if is_vector[op[p + 1]]]
+            vec = any(is_vector[c] for c in op[1:])
             node_level.append(lvl)
-            is_vector.append(bool(vec))
+            is_vector.append(vec)
             if lvl >= 0:
                 conds[lvl].append((i, *op[1:], vec))
             else:

@@ -70,11 +70,15 @@ class Forest:
     T <| a |> T keeps its a.  Per node, a bitmask of the atoms at and below
     it lets reduce() skip subtrees without its atom.  Forest(mem=True)
     memorises: node(a, t, f) first reduces t by a = T and f by a = F, so
-    fold, subst and from_tree give mem-basic forms (from_tree is mf)."""
+    fold, subst and from_tree give mem-basic forms (from_tree is mf).  Its
+    values are few, so it keeps no subst memo: subst(p, q, r) reads the
+    cond row of (q, r) at p, a list indexed by id and filled on first read
+    (a dense computed table, as in Brace, Rudell and Bryant, DAC 1990)."""
 
-    # Bounds a memorising forest's subst memo and its row entries, which
-    # outlive single checks; past it, results are recomputed instead of
-    # stored (the per-subtree caches underneath keep that cheap).
+    # Bounds the slots a memorising forest's rows hold, which outlive single
+    # checks; past it, rows stop growing, a new cond row lasts one call, and
+    # results are recomputed instead of stored (the reduce memo underneath
+    # keeps that cheap).
     CACHE_MAX = 3_000_000
     T, F, U = 0, 1, 2
 
@@ -85,10 +89,11 @@ class Forest:
         self._mask: list[int] = [0, 0, 0]
         self._bits: dict[str, int] = {}
         self._trees: dict[int, BasicForm] = {0: LEAF_T, 1: LEAF_F, 2: LEAF_U}
-        self._subst: dict[tuple[int, int, int], int] = {}
+        self._subst: dict[tuple[int, int, int], int] = {}  # free forests only
         self._reduce: dict[tuple[int, str, bool], int] = {}
+        self._cond_rows: dict[tuple[int, int], list[int]] = {}
         self._rows: dict[tuple[int, int, int], _Row] = {}
-        self._row_entries = 0
+        self._slots = 0  # given to rows, at most CACHE_MAX
 
     def node(self, atom: str, on_true: int, on_false: int) -> int:
         if self.mem:
@@ -167,6 +172,9 @@ class Forest:
     def subst(self, p: int, q: int, r: int) -> int:
         if p < 3:
             return (q, r, p)[p]
+        if self.mem:
+            row = self._cond_rows.get((q, r)) or self._cond_row(q, r)
+            return row[p] if p < len(row) and row[p] >= 0 else self._fill(row, p)
         key = (p, q, r)
         out = self._subst.get(key)
         if out is None:
@@ -182,10 +190,31 @@ class Forest:
         take one walk and write nothing to the subst memo: a vector cond
         with scalar branches walks the p_i under one memo, and a scalar cond
         with vector branches walks p once over the distinct (q_i, r_i)
-        pairs.  Other shapes, and memorising forests, go through subst."""
-        vec_p, vec_q, vec_r = (isinstance(a, list) for a in (p, q, r))
+        pairs.  In a memorising forest one vector reads one row per element:
+        a vector cond its cond row, a vector branch a dict row filled from
+        the cond rows.  Other shapes go through subst."""
+        vec_p, vec_q, vec_r = (isinstance(p, list), isinstance(q, list),
+                               isinstance(r, list))
         if not (vec_p or vec_q or vec_r):
             raise ValueError("subst_vector needs a vector argument")
+        if self.mem and vec_p + vec_q + vec_r == 1:
+            if vec_p:
+                row = self._cond_row(q, r)
+                try:
+                    out = list(map(row.__getitem__, p))
+                    if -1 not in out:
+                        return out
+                except IndexError:  # an id past the row's end
+                    pass
+                return [row[x] if x < len(row) and row[x] >= 0
+                        else self._fill(row, x) for x in p]
+            key = (1, p, r) if vec_q else (2, p, q)
+            row = self._rows.get(key)
+            if row is None:
+                row = _Row(self, *key)
+                if self._slots < self.CACHE_MAX:
+                    self._rows[key] = row
+            return list(map(row.__getitem__, q if vec_q else r))
         if self.mem or vec_p and (vec_q or vec_r):
             return list(map(self.subst, *(a if isinstance(a, list) else repeat(a)
                                           for a in (p, q, r))))
@@ -248,23 +277,38 @@ class Forest:
             self._reduce[key] = out
         return out
 
-    def mem_row(self, pos: int, a: int, b: int) -> "_Row":
-        """subst as a function of the argument at pos (0 cond, 1 then,
-        2 else), the other two fixed at a and b in order: a dict from the
-        varying id to the result, filled on first lookup.  Used in
-        memorising forests, whose values are finitely many."""
-        key = (pos, a, b)
-        row = self._rows.get(key)
+    def _cond_row(self, q: int, r: int) -> list[int]:
+        """subst(x, q, r) at index x, -1 where not yet read; rows grow to
+        the largest id read.  Past CACHE_MAX a new row is not kept."""
+        row = self._cond_rows.get((q, r))
         if row is None:
-            row = _Row(self, pos, a, b)
-            if self._row_entries < self.CACHE_MAX:
-                self._rows[key] = row
+            row = [q, r, self.U]
+            if self._slots + 3 <= self.CACHE_MAX:
+                self._cond_rows[q, r] = row
+                self._slots += 3
         return row
+
+    def _fill(self, row: list[int], p: int) -> int:
+        """row at an id p it does not hold yet, by recursion on children."""
+        atom, t, f = self._rev[p]
+        t = row[t] if t < len(row) and row[t] >= 0 else self._fill(row, t)
+        f = row[f] if f < len(row) and row[f] >= 0 else self._fill(row, f)
+        out = self.node(atom, t, f)
+        grow = p + 1 - len(row)  # read after the recursion, which grows row
+        if grow > 0:
+            if self._slots + grow > self.CACHE_MAX:
+                return out
+            row += [-1] * grow
+            self._slots += grow
+        row[p] = out
+        return out
 
 
 class _Row(dict):
-    """One row of Forest.mem_row.  Past Forest.CACHE_MAX entries over all
-    rows, results are computed and not stored."""
+    """subst as a function of its then (pos 1) or else (pos 2) argument,
+    the other two fixed at a and b in order, filled on first lookup through
+    the cond rows.  Past Forest.CACHE_MAX slots over all rows, results are
+    computed and not stored."""
 
     __slots__ = ("forest", "pos", "fixed")
 
@@ -276,9 +320,9 @@ class _Row(dict):
         args = list(self.fixed)
         args.insert(self.pos, x)
         v = f.subst(*args)
-        if f._row_entries < f.CACHE_MAX:
+        if f._slots < f.CACHE_MAX:
             self[x] = v
-            f._row_entries += 1
+            f._slots += 1
         return v
 
 

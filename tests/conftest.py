@@ -62,3 +62,8 @@ def all_valuations(names: list[str]) -> list[dict[str, bool]]:
     for bits in range(1 << len(names)):
         out.append({n: bool(bits >> i & 1) for i, n in enumerate(names)})
     return out
+
+
+def stored_slots(forest) -> int:
+    """Slots the rows of a memorising forest hold, cond and dict rows."""
+    return sum(map(len, [*forest._cond_rows.values(), *forest._rows.values()]))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import all_valuations, random_term
+from conftest import all_valuations, random_term, stored_slots
 from sclc import axioms
 from sclc.axioms import (
     _MEM_FOREST, Schema, Verdict, _exhaustive, _fresh_names, _permutation,
@@ -122,6 +122,26 @@ class TestExhaustive:
         f = _MEM_FOREST
         for atom, t, e in f._rev[3:]:
             assert not (f._mask[t] | f._mask[e]) & f._bits[atom]
+
+    def test_memorising_sweep_keeps_no_subst_memo(self):
+        check_schema(table_by_name("EqMSCL-lI").schemas[0], MEM, "exhaustive",
+                     budget=5_000)
+        assert _MEM_FOREST._cond_rows and not _MEM_FOREST._subst
+
+    def test_k3_sweep_under_a_small_row_cap(self, monkeypatch):
+        mem1 = table_by_name("CPmem").schemas[1]
+        runs = []
+        for cap in (Forest.CACHE_MAX, 100_000):
+            monkeypatch.setattr(Forest, "CACHE_MAX", cap)
+            forest = Forest(mem=True)
+            monkeypatch.setattr(axioms, "_MEM_FOREST", forest)
+            r = check_schema(mem1, MEM, "exhaustive", k=3, budget=20_000)
+            assert not forest._subst
+            runs.append(((r.verdict, r.count, r.budget_exceeded),
+                         stored_slots(forest)))
+        (full, full_slots), (capped, capped_slots) = runs
+        assert full == capped == (Verdict.PASSED_EXHAUSTIVE, 20_000, True)
+        assert capped_slots <= 100_000 < full_slots
 
     def test_free_sweep_leaves_the_memorising_forest_alone(self):
         before = len(_MEM_FOREST._rev)

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from conftest import all_valuations, random_basic_form, random_term
+from conftest import (
+    all_valuations, random_basic_form, random_term, stored_slots,
+)
 from sclc.congruence import TruthValue3, eval_tree, trace_eval
 from sclc.errors import DepthLimitError, InvariantError, OpenTermError
 from sclc.normalform import (
@@ -243,12 +245,39 @@ class TestMemRows:
             want = mf(subst_tf(c, t, e))
             c_, t_, e_ = ids[id(c)], ids[id(t)], ids[id(e)]
             for got in (forest.subst(c_, t_, e_),
-                        forest.mem_row(0, t_, e_)[c_],
-                        forest.mem_row(1, c_, e_)[t_],
-                        forest.mem_row(2, c_, t_)[e_]):
+                        *forest.subst_vector([c_], t_, e_),
+                        *forest.subst_vector(c_, [t_], e_),
+                        *forest.subst_vector(c_, t_, [e_])):
                 assert forest.to_tree(got) == want
-        assert forest._row_entries == 50
-        assert len(forest._rows) <= 50  # no empty rows kept past the cap
+        assert not forest._subst
+        assert 0 < stored_slots(forest) <= 50
+        assert len(forest._cond_rows) < len(forms) ** 2  # some rows dropped
+
+    def test_cond_rows_fill_in_place(self):
+        """A row opened before the forest grew, or read at a high id first,
+        holds at each id x exactly subst(x, q, r).  The reads below grow
+        the row while filling a node's children."""
+        forest = Forest(mem=True)
+        small = [forest.from_tree(t) for t in enumerate_mem_basic((a,), True)]
+        grown = small[4], small[7]
+        fresh, fresh_vector = (small[9], small[2]), (small[5], small[10])
+        forest.subst_vector(small, *grown)  # opened while the universe is small
+        big = [forest.from_tree(t) for t in enumerate_mem_basic((a, b), True)]
+        assert len(forest) > 10 * len(small)
+        for x in big:
+            forest.subst(x, *grown)
+        high_first = sorted(big, reverse=True)
+        for x in high_first:
+            forest.subst(x, *fresh)
+        forest.subst_vector(high_first, *fresh_vector)
+        for q, r in (grown, fresh, fresh_vector):
+            row = forest._cond_rows[q, r]
+            assert len(row) == max(big) + 1
+            for x, got in enumerate(row):
+                assert got >= 0 or x not in big
+                if got >= 0:
+                    want = mf(subst_tf(*map(forest.to_tree, (x, q, r))))
+                    assert forest.to_tree(got) == want
 
 
 class TestMbf:
