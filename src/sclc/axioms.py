@@ -17,7 +17,8 @@ vectors.  Memorising sweeps share one memorising forest, where every value
 is one of finitely many mem-basic forms, and whose rows are its only
 subst memo: a cond row, for fixed branches, is a list indexed by the
 cond's id.  A vector in one argument reads one row per element (a then or
-else vector a dict row filled from the cond rows), a cond with two vector
+else vector a dict row filled from rows of its own kind, down the cond's
+children, so it opens no cond row per element), a cond with two vector
 arguments a cond row per element.  A free sweep runs in a forest of its
 own, dropped when the check returns, and computes a vector cond in one
 walk; each outer loop level marks that forest and rolls back to the mark
@@ -193,9 +194,9 @@ def check_sweep_args(k: int, budget: int, three_valued: bool) -> None:
 
 # The forest of every memorising sweep in the process: its values stay in
 # the finite mem-basic universe over the sweep alphabet, and its rows are
-# shared across schemas: the builtin tables' memorising checks fill 5,476
-# cond rows with 410,916 slots (4.5 MB) and 6,170 then/else rows with
-# 519,944 entries (16.1 MB).  A forest per check, with the rows of an
+# shared across schemas: the builtin tables' memorising checks fill 474
+# cond rows with 35,766 slots (0.4 MB) and 6,171 then/else rows with
+# 520,235 entries (16.1 MB).  A forest per check, with the rows of an
 # earlier layout, filled twice the entries and made mem sweeps 19-32%
 # slower.  Free values are unbounded; a free sweep runs faster in a fresh
 # forest, dropped on return and rolled back to level marks past
@@ -204,7 +205,7 @@ _MEM_FOREST = Forest(mem=True)
 
 # A free sweep's outer level rolls back to its mark after a digit once this
 # many nodes were built since.  Free tables' peak RSS: 162 MB unbounded,
-# 48 MB at 100,000, 29 MB here (under the memorising forest's ~37 MB), 17 MB
+# 48 MB at 100,000, 29 MB here (under the memorising forest's ~32 MB), 17 MB
 # at 3,000; rolling back after every digit makes EqFSCL/F7 under 10% slower
 # (0.75-0.78 s against 0.69-0.72 s), as vector conds keep no subst memo.
 _ROLLBACK_NODES = 30_000

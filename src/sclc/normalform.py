@@ -73,7 +73,9 @@ class Forest:
     fold, subst and from_tree give mem-basic forms (from_tree is mf).  Its
     values are few, so it keeps no subst memo: subst(p, q, r) reads the
     cond row of (q, r) at p, a list indexed by id and filled on first read
-    (a dense computed table, as in Brace, Rudell and Bryant, DAC 1990)."""
+    (a dense computed table, as in Brace, Rudell and Bryant, DAC 1990),
+    and subst_vector with a then or else vector reads a then or else row
+    (_Row), a dict filled from rows of its own kind."""
 
     # Bounds the slots a memorising forest's rows hold, which outlive single
     # checks; past it, rows stop growing, a new cond row lasts one call, and
@@ -172,9 +174,9 @@ class Forest:
     def subst(self, p: int, q: int, r: int) -> int:
         if p < 3:
             return (q, r, p)[p]
-        if self.mem:
+        if self.mem:  # hits inline: through _cond they took ~45% longer
             row = self._cond_rows.get((q, r)) or self._cond_row(q, r)
-            return row[p] if p < len(row) and row[p] >= 0 else self._fill(row, p)
+            return row[p] if p < len(row) and row[p] >= 0 else self._cond(row, p)
         key = (p, q, r)
         out = self._subst.get(key)
         if out is None:
@@ -191,29 +193,16 @@ class Forest:
         with scalar branches walks the p_i under one memo, and a scalar cond
         with vector branches walks p once over the distinct (q_i, r_i)
         pairs.  In a memorising forest one vector reads one row per element:
-        a vector cond its cond row, a vector branch a dict row filled from
-        the cond rows.  Other shapes go through subst."""
-        vec_p, vec_q, vec_r = (isinstance(p, list), isinstance(q, list),
-                               isinstance(r, list))
+        a vector cond its cond row, a vector branch a then or else row
+        (_Row).  Other shapes go through subst."""
+        vec_p, vec_q, vec_r = (isinstance(a, list) for a in (p, q, r))
         if not (vec_p or vec_q or vec_r):
             raise ValueError("subst_vector needs a vector argument")
         if self.mem and vec_p + vec_q + vec_r == 1:
             if vec_p:
                 row = self._cond_row(q, r)
-                try:
-                    out = list(map(row.__getitem__, p))
-                    if -1 not in out:
-                        return out
-                except IndexError:  # an id past the row's end
-                    pass
-                return [row[x] if x < len(row) and row[x] >= 0
-                        else self._fill(row, x) for x in p]
-            key = (1, p, r) if vec_q else (2, p, q)
-            row = self._rows.get(key)
-            if row is None:
-                row = _Row(self, *key)
-                if self._slots < self.CACHE_MAX:
-                    self._rows[key] = row
+                return [self._cond(row, x) for x in p]
+            row = self._branch_row(1, p, r) if vec_q else self._branch_row(2, p, q)
             return list(map(row.__getitem__, q if vec_q else r))
         if self.mem or vec_p and (vec_q or vec_r):
             return list(map(self.subst, *(a if isinstance(a, list) else repeat(a)
@@ -277,50 +266,65 @@ class Forest:
             self._reduce[key] = out
         return out
 
-    def _cond_row(self, q: int, r: int) -> list[int]:
+    def _cond_row(self, q: int, r: int) -> list[int] | tuple[int, ...]:
         """subst(x, q, r) at index x, -1 where not yet read; rows grow to
-        the largest id read.  Past CACHE_MAX a new row is not kept."""
+        the largest id read.  Past CACHE_MAX a new row is a tuple, not kept
+        and never grown."""
         row = self._cond_rows.get((q, r))
         if row is None:
-            row = [q, r, self.U]
-            if self._slots + 3 <= self.CACHE_MAX:
-                self._cond_rows[q, r] = row
-                self._slots += 3
+            if self._slots + 3 > self.CACHE_MAX:
+                return q, r, self.U
+            row = self._cond_rows[q, r] = [q, r, self.U]
+            self._slots += 3
         return row
 
-    def _fill(self, row: list[int], p: int) -> int:
-        """row at an id p it does not hold yet, by recursion on children."""
+    def _cond(self, row: list[int] | tuple[int, ...], p: int) -> int:
+        """row at p, filled on a miss by recursion on p's children."""
+        if p < len(row) and row[p] >= 0:
+            return row[p]
         atom, t, f = self._rev[p]
-        t = row[t] if t < len(row) and row[t] >= 0 else self._fill(row, t)
-        f = row[f] if f < len(row) and row[f] >= 0 else self._fill(row, f)
-        out = self.node(atom, t, f)
+        out = self.node(atom, self._cond(row, t), self._cond(row, f))
         grow = p + 1 - len(row)  # read after the recursion, which grows row
         if grow > 0:
-            if self._slots + grow > self.CACHE_MAX:
+            if isinstance(row, tuple) or self._slots + grow > self.CACHE_MAX:
                 return out
             row += [-1] * grow
             self._slots += grow
         row[p] = out
         return out
 
+    def _branch_row(self, pos: int, p: int, b: int) -> _Row:
+        """The then (pos 1) or else (pos 2) row of cond p, b the other
+        branch; a row not kept yet is new and empty."""
+        return self._rows.get((pos, p, b)) or _Row(self, pos, p, b)
+
 
 class _Row(dict):
-    """subst as a function of its then (pos 1) or else (pos 2) argument,
-    the other two fixed at a and b in order, filled on first lookup through
-    the cond rows.  Past Forest.CACHE_MAX slots over all rows, results are
-    computed and not stored."""
+    """subst as a function of its then (pos 1) or else (pos 2) argument x,
+    the cond p and the other branch b fixed.  Filled on first lookup by
+    recursion on p's children in rows of the same pos and b, so a vector
+    branch opens no cond row per element.  A row is kept in Forest._rows
+    from its first entry on; past Forest.CACHE_MAX slots over all rows,
+    results are computed and not stored."""
 
-    __slots__ = ("forest", "pos", "fixed")
+    __slots__ = ("forest", "pos", "p", "b")
 
-    def __init__(self, forest: Forest, pos: int, a: int, b: int):
-        self.forest, self.pos, self.fixed = forest, pos, (a, b)
+    def __init__(self, forest: Forest, pos: int, p: int, b: int):
+        self.forest, self.pos, self.p, self.b = forest, pos, p, b
 
     def __missing__(self, x: int) -> int:
-        f = self.forest
-        args = list(self.fixed)
-        args.insert(self.pos, x)
-        v = f.subst(*args)
+        f, p, pos, b = self.forest, self.p, self.pos, self.b
+        leaves = (x, b, f.U) if pos == 1 else (b, x, f.U)
+        if p < 3:
+            v = leaves[p]
+        else:
+            atom, t, e = f._rev[p]
+            v = f.node(atom,
+                       leaves[t] if t < 3 else f._branch_row(pos, t, b)[x],
+                       leaves[e] if e < 3 else f._branch_row(pos, e, b)[x])
         if f._slots < f.CACHE_MAX:
+            if not self:
+                f._rows[pos, p, b] = self
             self[x] = v
             f._slots += 1
         return v

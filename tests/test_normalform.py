@@ -250,8 +250,36 @@ class TestMemRows:
                         *forest.subst_vector(c_, t_, [e_])):
                 assert forest.to_tree(got) == want
         assert not forest._subst
+        assert forest._slots == stored_slots(forest)
         assert 0 < stored_slots(forest) <= 50
+        assert len(forest._rows) <= 50  # no empty rows kept past the cap
         assert len(forest._cond_rows) < len(forms) ** 2  # some rows dropped
+
+    def test_a_row_past_the_cap_takes_no_slot(self):
+        forest = Forest(mem=True)
+        forest.CACHE_MAX = 5  # one row of 4 slots; a second is not kept
+        x = forest.from_tree(Node(a, LEAF_F, LEAF_T))
+        for q, r in ((forest.T, forest.U), (forest.U, forest.T)):
+            got = forest.to_tree(forest.subst(x, q, r))
+            assert got == mf(subst_tf(*map(forest.to_tree, (x, q, r))))
+        assert list(forest._cond_rows) == [(forest.T, forest.U)]
+        assert forest._slots == stored_slots(forest) == 4
+
+    def test_branch_rows_agree_with_mf_of_subst(self):
+        """A then or else vector fills rows of its own kind, down p's
+        children, and opens no cond row."""
+        forest = Forest(mem=True)
+        forms = enumerate_mem_basic((a, b), three_valued=True)[::13]
+        ids = [forest.from_tree(t) for t in forms]
+        for (c, c_), (x, x_) in itertools.product(zip(forms, ids), repeat=2):
+            thens = forest.subst_vector(c_, ids, x_)
+            elses = forest.subst_vector(c_, x_, ids)
+            for y, then, orelse in zip(forms, thens, elses):
+                assert forest.to_tree(then) == mf(subst_tf(c, y, x))
+                assert forest.to_tree(orelse) == mf(subst_tf(c, x, y))
+        assert not forest._cond_rows and not forest._subst
+        assert forest._slots == stored_slots(forest)
+        assert all(forest._rows.values())  # kept from the first entry on
 
     def test_cond_rows_fill_in_place(self):
         """A row opened before the forest grew, or read at a high id first,
