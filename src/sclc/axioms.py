@@ -15,15 +15,14 @@ innermost variable is a vector of one value per digit of it, computed by
 Forest.subst_vector, and the innermost level only compares the two sides'
 vectors.  Memorising sweeps share one memorising forest, where every value
 is one of finitely many mem-basic forms, and whose rows are its only
-subst memo: a cond row, for fixed branches, is a list indexed by the
-cond's id.  A vector in one argument reads one row per element (a then or
-else vector a dict row filled from rows of its own kind, down the cond's
-children, so it opens no cond row per element), a cond with two vector
-arguments a cond row per element.  A free sweep runs in a forest of its
-own, dropped when the check returns, and computes a vector cond in one
-walk; each outer loop level marks that forest and rolls back to the mark
-after a digit once the forest has grown past a fixed bound
-(Forest.rollback).
+subst memo: a row is a dict of subst over one argument, the other two
+fixed.  A vector in one argument reads one row (a then or else vector a
+row filled from rows of its own kind, down the cond's children, so it
+opens no cond row per element), a cond with two vector arguments a cond
+row per element.  A free sweep runs in a forest of its own, dropped when
+the check returns, and computes a vector cond in one walk; each outer
+loop level marks that forest and rolls back to the mark after a digit
+once the forest has grown past a fixed bound (Forest.rollback).
 """
 
 from __future__ import annotations
@@ -194,13 +193,13 @@ def check_sweep_args(k: int, budget: int, three_valued: bool) -> None:
 
 # The forest of every memorising sweep in the process: its values stay in
 # the finite mem-basic universe over the sweep alphabet, and its rows are
-# shared across schemas: the builtin tables' memorising checks fill 474
-# cond rows with 35,766 slots (0.4 MB) and 6,171 then/else rows with
-# 520,235 entries (16.1 MB).  A forest per check, with the rows of an
-# earlier layout, filled twice the entries and made mem sweeps 19-32%
-# slower.  Free values are unbounded; a free sweep runs faster in a fresh
-# forest, dropped on return and rolled back to level marks past
-# _ROLLBACK_NODES (this one never rolls back).
+# shared across schemas: the k=2 checks of CPmem, EqMSCL, EqMSCL-lI,
+# EqMSCL-lN and U fill 474 cond rows with 35,270 entries (1.1 MB) and
+# 6,170 then/else rows with 519,944 entries (16.2 MB).  A forest per
+# check, with the rows of an earlier layout, filled twice the entries and
+# made mem sweeps 19-32% slower.  Free values are unbounded; a free sweep
+# runs faster in a fresh forest, dropped on return and rolled back to
+# level marks past _ROLLBACK_NODES (this one never rolls back).
 _MEM_FOREST = Forest(mem=True)
 
 # A free sweep's outer level rolls back to its mark after a digit once this
@@ -266,10 +265,10 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
     # that mentions the innermost variable is a vector, one value per digit
     # of it; that variable's slot holds its whole permuted domain from the
     # start, and the innermost level only compares the two tops' first n
-    # entries.  Forest.subst_vector computes a vector cond: one row lookup
-    # per element in a memorising forest, one walk in a free forest where
-    # its shape allows.  The node list is in dependency order, which the
-    # split keeps.
+    # entries.  Forest.subst_vector computes a vector cond: in a memorising
+    # forest one row read if one argument is a vector, in a free forest one
+    # walk where its shape allows.  The node list is in dependency order,
+    # which the split keeps.
     last = nvars - 1
     size = len(domain)
     perms = [_permutation(j, size) for j in range(nvars)]

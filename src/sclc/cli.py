@@ -15,7 +15,7 @@ from . import axioms, congruence, nandform, normalform, translate
 from .congruence import FREE, MEM, Mode
 from .errors import InvariantError, ParseError, SclError
 from .normalform import render
-from .syntax import parse, print_term
+from .syntax import ATOM_RE, dual, parse, print_term
 
 
 def _normalizing_command(sub, name: str, summary: str, *exprs: str):
@@ -112,35 +112,30 @@ def _cmd_eq(args) -> int:
     return 1
 
 
-def _cmd_dual(args) -> int:
-    from .syntax import dual
-
-    term = dual(parse(_read_expr(args.expr)))
-    print(print_term(term, _style(args), primes=args.primes))
-    return 0
-
-
 def _cmd_eval(args) -> int:
     term = parse(_read_expr(args.expr))
     valuation: dict[str, bool] = {}
     if args.val:
         for item in args.val.split(","):
             name, _, bit = item.partition("=")
-            if bit not in ("0", "1"):
+            name = name.strip()
+            if bit not in ("0", "1") or not ATOM_RE.match(name):
                 raise SclError(f"bad valuation entry {item!r}; use atom=0|1")
-            valuation[name.strip()] = bit == "1"
+            valuation[name] = bit == "1"
     print(congruence.evaluate(term, valuation).value)
     return 0
 
 
-def _cmd_to_nand(args) -> int:
-    term = translate.encode_nand(parse(_read_expr(args.expr)))
-    print(print_term(term, _style(args), primes=args.primes))
-    return 0
+# The printing commands that rewrite one term, by the function they apply.
+_TRANSFORMS = {
+    "dual": dual,
+    "to-nand": translate.encode_nand,
+    "from-nand": translate.decode_nand,
+}
 
 
-def _cmd_from_nand(args) -> int:
-    term = translate.decode_nand(parse(_read_expr(args.expr)))
+def _cmd_transform(args) -> int:
+    term = _TRANSFORMS[args.command](parse(_read_expr(args.expr)))
     print(print_term(term, _style(args), primes=args.primes))
     return 0
 
@@ -197,10 +192,8 @@ def _cmd_axioms(args) -> int:
 _COMMANDS = {
     "norm": _cmd_norm,
     "eq": _cmd_eq,
-    "dual": _cmd_dual,
+    **dict.fromkeys(_TRANSFORMS, _cmd_transform),
     "eval": _cmd_eval,
-    "to-nand": _cmd_to_nand,
-    "from-nand": _cmd_from_nand,
     "munbf": _cmd_munbf,
     "axioms": _cmd_axioms,
 }

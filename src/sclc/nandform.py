@@ -24,7 +24,9 @@ def assume(p: BasicForm, atom: str, value: bool) -> BasicForm:
     """Remove an atom's nodes given its evaluation result.
 
     value=True keeps the true-subtree of matching nodes, value=False the
-    false-subtree; leaves are fixed.  The result no longer contains atom.
+    false-subtree; leaves are fixed.  A kept subtree is not searched, so
+    the result is free of atom only if p is mem-basic:
+    assume(Node(a, Node(a, T, F), F), a, True) is Node(a, T, F).
     """
     if isinstance(p, Leaf):
         return p

@@ -71,16 +71,14 @@ class Forest:
     it lets reduce() skip subtrees without its atom.  Forest(mem=True)
     memorises: node(a, t, f) first reduces t by a = T and f by a = F, so
     fold, subst and from_tree give mem-basic forms (from_tree is mf).  Its
-    values are few, so it keeps no subst memo: subst(p, q, r) reads the
-    cond row of (q, r) at p, a list indexed by id and filled on first read
-    (a dense computed table, as in Brace, Rudell and Bryant, DAC 1990),
-    and subst_vector with a then or else vector reads a then or else row
-    (_Row), a dict filled from rows of its own kind."""
+    values are few, so it keeps no subst memo: subst and subst_vector read
+    rows (_Row), lazily filled dicts of subst as a function of one argument,
+    the other two fixed (a computed table, as in Brace, Rudell and Bryant,
+    DAC 1990)."""
 
-    # Bounds the slots a memorising forest's rows hold, which outlive single
-    # checks; past it, rows stop growing, a new cond row lasts one call, and
-    # results are recomputed instead of stored (the reduce memo underneath
-    # keeps that cheap).
+    # Bounds the entries a memorising forest's rows hold, which outlive
+    # single checks; past it, results are computed and not stored (the
+    # reduce memo underneath keeps that cheap).
     CACHE_MAX = 3_000_000
     T, F, U = 0, 1, 2
 
@@ -93,9 +91,8 @@ class Forest:
         self._trees: dict[int, BasicForm] = {0: LEAF_T, 1: LEAF_F, 2: LEAF_U}
         self._subst: dict[tuple[int, int, int], int] = {}  # free forests only
         self._reduce: dict[tuple[int, str, bool], int] = {}
-        self._cond_rows: dict[tuple[int, int], list[int]] = {}
         self._rows: dict[tuple[int, int, int], _Row] = {}
-        self._slots = 0  # given to rows, at most CACHE_MAX
+        self._slots = 0  # entries stored in rows, at most CACHE_MAX
 
     def node(self, atom: str, on_true: int, on_false: int) -> int:
         if self.mem:
@@ -174,9 +171,8 @@ class Forest:
     def subst(self, p: int, q: int, r: int) -> int:
         if p < 3:
             return (q, r, p)[p]
-        if self.mem:  # hits inline: through _cond they took ~45% longer
-            row = self._cond_rows.get((q, r)) or self._cond_row(q, r)
-            return row[p] if p < len(row) and row[p] >= 0 else self._cond(row, p)
+        if self.mem:  # _row inlined: a k=2 mem sweep makes 2.1 M calls
+            return (self._rows.get((0, q, r)) or _Row(self, 0, q, r))[p]
         key = (p, q, r)
         out = self._subst.get(key)
         if out is None:
@@ -192,18 +188,16 @@ class Forest:
         take one walk and write nothing to the subst memo: a vector cond
         with scalar branches walks the p_i under one memo, and a scalar cond
         with vector branches walks p once over the distinct (q_i, r_i)
-        pairs.  In a memorising forest one vector reads one row per element:
-        a vector cond its cond row, a vector branch a then or else row
-        (_Row).  Other shapes go through subst."""
+        pairs.  In a memorising forest a single vector reads one row, of its
+        position and the other two arguments.  Other shapes go through
+        subst."""
         vec_p, vec_q, vec_r = (isinstance(a, list) for a in (p, q, r))
         if not (vec_p or vec_q or vec_r):
             raise ValueError("subst_vector needs a vector argument")
         if self.mem and vec_p + vec_q + vec_r == 1:
-            if vec_p:
-                row = self._cond_row(q, r)
-                return [self._cond(row, x) for x in p]
-            row = self._branch_row(1, p, r) if vec_q else self._branch_row(2, p, q)
-            return list(map(row.__getitem__, q if vec_q else r))
+            row = (self._row(0, q, r) if vec_p else self._row(1, p, r) if vec_q
+                   else self._row(2, p, q))
+            return list(map(row.__getitem__, p if vec_p else q if vec_q else r))
         if self.mem or vec_p and (vec_q or vec_r):
             return list(map(self.subst, *(a if isinstance(a, list) else repeat(a)
                                           for a in (p, q, r))))
@@ -266,65 +260,45 @@ class Forest:
             self._reduce[key] = out
         return out
 
-    def _cond_row(self, q: int, r: int) -> list[int] | tuple[int, ...]:
-        """subst(x, q, r) at index x, -1 where not yet read; rows grow to
-        the largest id read.  Past CACHE_MAX a new row is a tuple, not kept
-        and never grown."""
-        row = self._cond_rows.get((q, r))
-        if row is None:
-            if self._slots + 3 > self.CACHE_MAX:
-                return q, r, self.U
-            row = self._cond_rows[q, r] = [q, r, self.U]
-            self._slots += 3
-        return row
-
-    def _cond(self, row: list[int] | tuple[int, ...], p: int) -> int:
-        """row at p, filled on a miss by recursion on p's children."""
-        if p < len(row) and row[p] >= 0:
-            return row[p]
-        atom, t, f = self._rev[p]
-        out = self.node(atom, self._cond(row, t), self._cond(row, f))
-        grow = p + 1 - len(row)  # read after the recursion, which grows row
-        if grow > 0:
-            if isinstance(row, tuple) or self._slots + grow > self.CACHE_MAX:
-                return out
-            row += [-1] * grow
-            self._slots += grow
-        row[p] = out
-        return out
-
-    def _branch_row(self, pos: int, p: int, b: int) -> _Row:
-        """The then (pos 1) or else (pos 2) row of cond p, b the other
-        branch; a row not kept yet is new and empty."""
-        return self._rows.get((pos, p, b)) or _Row(self, pos, p, b)
+    def _row(self, pos: int, a: int, b: int) -> _Row:
+        """The row of subst in argument pos, a and b the other two arguments
+        in order; a row not kept yet is new and empty."""
+        return self._rows.get((pos, a, b)) or _Row(self, pos, a, b)
 
 
 class _Row(dict):
-    """subst as a function of its then (pos 1) or else (pos 2) argument x,
-    the cond p and the other branch b fixed.  Filled on first lookup by
-    recursion on p's children in rows of the same pos and b, so a vector
-    branch opens no cond row per element.  A row is kept in Forest._rows
-    from its first entry on; past Forest.CACHE_MAX slots over all rows,
-    results are computed and not stored."""
+    """subst as a function of its cond (pos 0), then (pos 1) or else (pos 2)
+    argument x, the other two, a and b in order, fixed.  Filled on first
+    lookup: a cond row by recursion on x's children in itself, a then or
+    else row by recursion on the cond a's children in rows of the same pos
+    and b, so a vector branch opens no row per element.  A row is kept in
+    Forest._rows from its first entry on; past Forest.CACHE_MAX entries
+    over all rows, results are computed and not stored."""
 
-    __slots__ = ("forest", "pos", "p", "b")
+    __slots__ = ("forest", "pos", "a", "b")
 
-    def __init__(self, forest: Forest, pos: int, p: int, b: int):
-        self.forest, self.pos, self.p, self.b = forest, pos, p, b
+    def __init__(self, forest: Forest, pos: int, a: int, b: int):
+        self.forest, self.pos, self.a, self.b = forest, pos, a, b
 
     def __missing__(self, x: int) -> int:
-        f, p, pos, b = self.forest, self.p, self.pos, self.b
-        leaves = (x, b, f.U) if pos == 1 else (b, x, f.U)
-        if p < 3:
-            v = leaves[p]
-        else:
-            atom, t, e = f._rev[p]
-            v = f.node(atom,
-                       leaves[t] if t < 3 else f._branch_row(pos, t, b)[x],
-                       leaves[e] if e < 3 else f._branch_row(pos, e, b)[x])
+        f, pos, a, b = self.forest, self.pos, self.a, self.b
+        if pos == 0:  # x is the cond
+            if x < 3:
+                v = (a, b, f.U)[x]
+            else:
+                atom, t, e = f._rev[x]
+                v = f.node(atom, self[t], self[e])
+        else:  # x is a branch, a the cond
+            leaves = (x, b, f.U) if pos == 1 else (b, x, f.U)
+            if a < 3:
+                v = leaves[a]
+            else:
+                atom, t, e = f._rev[a]
+                v = f.node(atom, leaves[t] if t < 3 else f._row(pos, t, b)[x],
+                           leaves[e] if e < 3 else f._row(pos, e, b)[x])
         if f._slots < f.CACHE_MAX:
             if not self:
-                f._rows[pos, p, b] = self
+                f._rows[pos, a, b] = self
             self[x] = v
             f._slots += 1
         return v
@@ -343,7 +317,7 @@ def subst_tf(p: BasicForm, q: BasicForm, r: BasicForm) -> BasicForm:
 def _normalize(term: Term, depth_limit: int, forest: Forest | None,
                mem: bool) -> BasicForm:
     if not is_closed(term):
-        raise OpenTermError("bf requires a closed term")
+        raise OpenTermError(f"{'mbf' if mem else 'bf'} requires a closed term")
     if term_depth(term) > depth_limit:
         raise DepthLimitError(f"term depth exceeds limit {depth_limit}")
     # The recursion below is bounded by the depth of the trees built, which

@@ -65,5 +65,10 @@ def all_valuations(names: list[str]) -> list[dict[str, bool]]:
 
 
 def stored_slots(forest) -> int:
-    """Slots the rows of a memorising forest hold, cond and dict rows."""
-    return sum(map(len, [*forest._cond_rows.values(), *forest._rows.values()]))
+    """Entries the rows of a memorising forest hold."""
+    return sum(map(len, forest._rows.values()))
+
+
+def cond_rows(forest) -> dict:
+    """A memorising forest's kept pos-0 rows, keyed by their branches."""
+    return {(q, r): row for (pos, q, r), row in forest._rows.items() if pos == 0}

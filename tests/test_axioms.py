@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import all_valuations, random_term, stored_slots
+from conftest import all_valuations, cond_rows, random_term, stored_slots
 from sclc import axioms
 from sclc.axioms import (
     _MEM_FOREST, Schema, Verdict, _exhaustive, _fresh_names, _permutation,
@@ -126,7 +126,7 @@ class TestExhaustive:
     def test_memorising_sweep_keeps_no_subst_memo(self):
         check_schema(table_by_name("EqMSCL-lI").schemas[0], MEM, "exhaustive",
                      budget=5_000)
-        assert _MEM_FOREST._cond_rows and not _MEM_FOREST._subst
+        assert cond_rows(_MEM_FOREST) and not _MEM_FOREST._subst
 
     def test_k3_sweep_under_a_small_row_cap(self, monkeypatch):
         mem1 = table_by_name("CPmem").schemas[1]

@@ -82,6 +82,12 @@ class TestCommands:
         assert code == 2
         assert "b" in err
 
+    @pytest.mark.parametrize("entry", ["=1", "A=1"])
+    def test_eval_rejects_a_name_that_is_not_an_atom(self, capsys, entry):
+        code, out, err = run(capsys, "eval", "a", "--val", entry)
+        assert (code, out) == (2, "")
+        assert err == f"sclc: bad valuation entry {entry!r}; use atom=0|1\n"
+
     def test_to_nand(self, capsys):
         code, out, _ = run(capsys, "to-nand", "!a")
         assert (code, out) == (0, "a ⊼ T\n")

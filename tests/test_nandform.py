@@ -41,6 +41,11 @@ class TestAssume:
                     assert is_munbf(out)
                     assert atom not in atoms_of(render_nand(out))
 
+    def test_kept_subtree_keeps_a_repeated_atom(self):
+        """Only mem-basic input comes out free of the atom."""
+        inner = Node(a, LEAF_T, LEAF_F)
+        assert assume(Node(a, inner, LEAF_F), a, True) == inner
+
 
 class TestNandNf:
     def test_false_left(self):

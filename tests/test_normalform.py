@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import (
-    all_valuations, random_basic_form, random_term, stored_slots,
+    all_valuations, cond_rows, random_basic_form, random_term, stored_slots,
 )
 from sclc.congruence import TruthValue3, eval_tree, trace_eval
 from sclc.errors import DepthLimitError, InvariantError, OpenTermError
@@ -69,8 +69,10 @@ class TestBf:
         assert bf(parse("U")) == LEAF_U
 
     def test_open_term_rejected(self):
-        with pytest.raises(OpenTermError):
+        with pytest.raises(OpenTermError, match="^bf requires"):
             bf(Var("X"))
+        with pytest.raises(OpenTermError, match="^mbf requires"):
+            mbf(Var("X"))
 
     def test_fixed_point_on_basic_forms(self):
         rng = random.Random(2)
@@ -253,17 +255,20 @@ class TestMemRows:
         assert forest._slots == stored_slots(forest)
         assert 0 < stored_slots(forest) <= 50
         assert len(forest._rows) <= 50  # no empty rows kept past the cap
-        assert len(forest._cond_rows) < len(forms) ** 2  # some rows dropped
+        assert len(cond_rows(forest)) < len(forms) ** 2  # some rows dropped
 
     def test_a_row_past_the_cap_takes_no_slot(self):
         forest = Forest(mem=True)
-        forest.CACHE_MAX = 5  # one row of 4 slots; a second is not kept
-        x = forest.from_tree(Node(a, LEAF_F, LEAF_T))
+        forest.CACHE_MAX = 2  # one row of 2 entries; no second row is kept
+        x = forest.from_tree(Node(a, Node(b, LEAF_F, LEAF_T), LEAF_U))
         for q, r in ((forest.T, forest.U), (forest.U, forest.T)):
             got = forest.to_tree(forest.subst(x, q, r))
             assert got == mf(subst_tf(*map(forest.to_tree, (x, q, r))))
-        assert list(forest._cond_rows) == [(forest.T, forest.U)]
-        assert forest._slots == stored_slots(forest) == 4
+        [then] = forest.subst_vector(x, [forest.T], forest.U)
+        assert forest.to_tree(then) == mf(subst_tf(forest.to_tree(x), LEAF_T,
+                                                   LEAF_U))
+        assert list(forest._rows) == [(0, forest.T, forest.U)]
+        assert forest._slots == stored_slots(forest) == 2
 
     def test_branch_rows_agree_with_mf_of_subst(self):
         """A then or else vector fills rows of its own kind, down p's
@@ -277,14 +282,14 @@ class TestMemRows:
             for y, then, orelse in zip(forms, thens, elses):
                 assert forest.to_tree(then) == mf(subst_tf(c, y, x))
                 assert forest.to_tree(orelse) == mf(subst_tf(c, x, y))
-        assert not forest._cond_rows and not forest._subst
+        assert not cond_rows(forest) and not forest._subst
         assert forest._slots == stored_slots(forest)
         assert all(forest._rows.values())  # kept from the first entry on
 
     def test_cond_rows_fill_in_place(self):
         """A row opened before the forest grew, or read at a high id first,
-        holds at each id x exactly subst(x, q, r).  The reads below grow
-        the row while filling a node's children."""
+        holds at each id x exactly subst(x, q, r).  The reads below add
+        entries to the row while filling a node's children."""
         forest = Forest(mem=True)
         small = [forest.from_tree(t) for t in enumerate_mem_basic((a,), True)]
         grown = small[4], small[7]
@@ -299,13 +304,11 @@ class TestMemRows:
             forest.subst(x, *fresh)
         forest.subst_vector(high_first, *fresh_vector)
         for q, r in (grown, fresh, fresh_vector):
-            row = forest._cond_rows[q, r]
-            assert len(row) == max(big) + 1
-            for x, got in enumerate(row):
-                assert got >= 0 or x not in big
-                if got >= 0:
-                    want = mf(subst_tf(*map(forest.to_tree, (x, q, r))))
-                    assert forest.to_tree(got) == want
+            row = cond_rows(forest)[q, r]
+            assert row.keys() >= set(big) - {0, 1, 2}  # subst answers leaves
+            for x, got in row.items():
+                want = mf(subst_tf(*map(forest.to_tree, (x, q, r))))
+                assert forest.to_tree(got) == want
 
 
 class TestMbf:
