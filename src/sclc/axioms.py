@@ -9,20 +9,25 @@ evidence that does not presuppose substitution-invariance.
 
 The sweep evaluates both sides as Forest.subst nodes over forest ids, one
 loop level per variable.  A node is computed in the loop of the last
-variable it reads, the innermost one aside, so only when one of them
-advances; before the loops if it reads no other.  A node that reads the
-innermost variable is a vector of one value per digit of it, computed by
-Forest.subst_vector, and the innermost level only compares the two sides'
-vectors.  Memorising sweeps share one memorising forest, where every value
-is one of finitely many mem-basic forms, and whose rows are its only
-subst memo: a row is a dict of subst over one argument, the other two
-fixed.  A vector in one argument reads one row (a then or else vector a
-row filled from rows of its own kind, down the cond's children, so it
+variable it reads, the innermost one aside; before the loops if it reads
+no other.  A cond with a loop strictly between the last two variables it
+reads (or before the only one) keeps a table from the digit of the last
+to its value, so the loops in between cost it one lookup a digit.  The
+table is cleared at each digit of the other variable, and never if there
+is none, so it holds at most one entry per digit of one loop.  A node that
+reads the innermost variable is a vector of one value per digit of it,
+computed by Forest.subst_vector, and the innermost level only compares the
+two sides' vectors.  Memorising sweeps share one memorising forest, where
+every value is one of finitely many mem-basic forms, and whose rows are
+its only subst memo: a row is a dict of subst over one argument, the other
+two fixed.  A vector in one argument reads one row (a then or else vector
+a row filled from rows of its own kind, down the cond's children, so it
 opens no cond row per element), a cond with two vector arguments a cond
 row per element.  A free sweep runs in a forest of its own, dropped when
 the check returns, and computes a vector cond in one walk; each outer
 loop level marks that forest and rolls back to the mark after a digit
-once the forest has grown past a fixed bound (Forest.rollback).
+once the forest has grown past a fixed bound (Forest.rollback), clearing
+the tables of that level and the ones inside it.
 """
 
 from __future__ import annotations
@@ -259,11 +264,18 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
     top_l = _compile(to_core(schema.lhs), variables, forest, nodes, index)
     top_r = _compile(to_core(schema.rhs), variables, forest, nodes, index)
 
-    # A node's level is the largest index among the variables it mentions,
-    # the innermost one left out: the node is recomputed exactly when that
-    # loop level advances, and level -1 nodes once, before the loops.  A node
-    # that mentions the innermost variable is a vector, one value per digit
-    # of it; that variable's slot holds its whole permuted domain from the
+    # A node's level is the largest index among the variables it reads, the
+    # innermost one left out: the node is computed at each digit of that
+    # loop level, and level -1 nodes once, before the loops.  A cond with a
+    # loop strictly between its level and the level of the variable it
+    # reads before that one (-1 if none) keeps a table from the digit of its
+    # level to its value: the loops between repeat those digits, which then
+    # cost one lookup.  The table is cleared at each digit of that earlier
+    # variable (never if there is none), so it holds at most one entry per
+    # digit of its level; a free sweep's rollback at level j also clears the
+    # tables at levels >= j, whose values may name dropped nodes.  A node
+    # that reads the innermost variable is a vector, one value per digit of
+    # it; that variable's slot holds its whole permuted domain from the
     # start, and the innermost level only compares the two tops' first n
     # entries.  Forest.subst_vector computes a vector cond: in a memorising
     # forest one row read if one argument is a vector, in a free forest one
@@ -272,10 +284,12 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
     last = nvars - 1
     size = len(domain)
     perms = [_permutation(j, size) for j in range(nvars)]
-    node_level: list[int] = []
+    reads: list[set[int]] = []  # the outer variables each node reads
     is_vector: list[bool] = []
     var_sets: list[list[int]] = [[] for _ in range(nvars)]
     conds: list[list[tuple]] = [[] for _ in range(nvars)]
+    # The tables that each level clears at each of its digits.
+    clear_at: list[list[dict]] = [[] for _ in range(nvars)]
     slots: list = [0] * len(nodes)
 
     def evaluate(a: int, b: int, c: int, vec: bool):
@@ -285,26 +299,30 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
 
     for i, op in enumerate(nodes):
         if op[0] == "const":
-            node_level.append(-1)
+            reads.append(set())
             is_vector.append(False)
             slots[i] = op[1]
         elif op[0] == "var":
             inner = op[1] == last
-            node_level.append(-1 if inner else op[1])
+            reads.append(set() if inner else {op[1]})
             is_vector.append(inner)
             if inner:
                 slots[i] = [domain[d] for d in perms[last]]
             else:
                 var_sets[op[1]].append(i)
         else:
-            lvl = max(node_level[c] for c in op[1:])
+            read = set().union(*(reads[c] for c in op[1:]))
             vec = any(is_vector[c] for c in op[1:])
-            node_level.append(lvl)
+            reads.append(read)
             is_vector.append(vec)
-            if lvl >= 0:
-                conds[lvl].append((i, *op[1:], vec))
-            else:
+            *_, before, lvl = -1, -1, *sorted(read)  # the last two read
+            if lvl < 0:
                 slots[i] = evaluate(*op[1:], vec)
+                continue
+            table = {} if lvl - before > 1 else None
+            if table is not None and before >= 0:
+                clear_at[before].append(table)
+            conds[lvl].append((i, *op[1:], vec, table))
 
     space = size ** nvars
     limit = min(space, budget)
@@ -329,18 +347,30 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
             return checked >= limit
         var_slots = var_sets[j]
         level_conds = conds[j]
+        level_tables = clear_at[j]
         mark = None if forest.mem else forest.mark()
         for digit in perms[j]:
             env[j] = digit
             value = domain[digit]
             for i in var_slots:
                 slots[i] = value
-            for i, a, b, c, vec in level_conds:
-                slots[i] = evaluate(a, b, c, vec)
+            for table in level_tables:
+                table.clear()
+            for i, a, b, c, vec, table in level_conds:
+                if table is None:
+                    slots[i] = evaluate(a, b, c, vec)
+                elif (out := table.get(digit)) is not None:
+                    slots[i] = out
+                else:
+                    slots[i] = table[digit] = evaluate(a, b, c, vec)
             if run_level(j + 1):
                 return True
             if mark is not None and len(forest) - mark[0] > _ROLLBACK_NODES:
                 forest.rollback(mark)  # outer slots predate the mark
+                for level in conds[j:]:  # their tables may name dropped ids
+                    for *_, table in level:
+                        if table:
+                            table.clear()
         return False
 
     if nvars == 0:

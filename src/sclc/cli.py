@@ -121,6 +121,8 @@ def _cmd_eval(args) -> int:
             name = name.strip()
             if bit not in ("0", "1") or not ATOM_RE.match(name):
                 raise SclError(f"bad valuation entry {item!r}; use atom=0|1")
+            if name in valuation:
+                raise SclError(f"atom {name!r} is bound twice in --val")
             valuation[name] = bit == "1"
     print(congruence.evaluate(term, valuation).value)
     return 0

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import random
@@ -359,6 +360,85 @@ class TestSweepReference:
         r = _exhaustive(schema("late", "(X && Y) || Z", "(Y && X) || Z"),
                         MEM, 2, 10 ** 6)
         assert r.refuted and r.count % 74 not in (0, 1)
+
+
+_cached_reference_sweep = functools.cache(_reference_sweep)
+
+
+class TestSweepTables:
+    # A cond with a loop strictly between the last two variables it reads
+    # takes its value from a table once that loop advances.  The budgets of
+    # TestSweepReference end inside the first digit of the outermost loop,
+    # before any entry is read back; BUDGET goes past it.
+    #
+    # !Y and !Y && Z read only Y, so from the second digit of X on (count
+    # 5,477) they come from their tables.  Under MEM, W || X and X || W
+    # agree while X is its loop's first form, F <| v1 |> (T <| v2 |> T)
+    # (after W it is !W), and differ at the second, v2: OrComm is refuted
+    # there, with Y && Z read from its table.
+    SCHEMAS = [
+        ("assoc", "(X && !Y) && Z", "X && (!Y && Z)"),
+        ("OrComm", "(W || X) && (Y && Z)", "(X || W) && (Y && Z)"),
+    ]
+    BUDGET = 6_000  # past 74 * 74, the first digit of the loop skipped
+
+    def _check(self, s, mode):
+        got = _exhaustive(s, mode, 2, self.BUDGET)
+        count, exceeded, witness = _cached_reference_sweep(s, mode, 2,
+                                                           self.BUDGET)
+        assert (got.count, got.budget_exceeded, got.witness) == \
+            (count, exceeded, witness)
+
+    @pytest.mark.parametrize("mode", [MEM, FREE, MEM3, FREE3],
+                             ids=["mem", "free", "mem3", "free3"])
+    @pytest.mark.parametrize("name,lhs,rhs", SCHEMAS, ids=[n for n, *_ in SCHEMAS])
+    def test_matches_brute_force(self, mode, name, lhs, rhs):
+        self._check(schema(name, lhs, rhs), mode)
+
+    @pytest.mark.parametrize("mode", [FREE, FREE3], ids=["free", "free3"])
+    @pytest.mark.parametrize("name,lhs,rhs", SCHEMAS, ids=[n for n, *_ in SCHEMAS])
+    def test_matches_brute_force_rolling_back_every_digit(
+            self, monkeypatch, mode, name, lhs, rhs):
+        # A rollback drops the nodes that table entries name, so it must
+        # clear them: at bound 1 every outer digit rolls back.
+        monkeypatch.setattr(axioms, "_ROLLBACK_NODES", 1)
+        self._check(schema(name, lhs, rhs), mode)
+
+    def test_refutation_reads_a_table(self):
+        r = _exhaustive(schema(*self.SCHEMAS[1]), MEM, 2, self.BUDGET)
+        assert r.refuted and r.count == 74 * 74 + 1
+
+    def test_a_table_is_cleared_at_each_digit_of_its_earlier_variable(self):
+        # W && Y and (W && Y) && Z read W and Y, skipping X: their tables
+        # hold one digit of W's values.  The right side reads X in between
+        # and shares no cond with the left.  The budget runs one digit of Y
+        # past W's first digit, where a table left uncleared would hand the
+        # left side W's previous value.
+        s = schema("assocF", "(W && Y) && Z", "W && ((F && X) || (Y && Z))")
+        budget = 74 ** 3 + 74
+        r = _exhaustive(s, MEM, 2, budget)
+        assert (r.verdict, r.count) == (Verdict.PASSED_EXHAUSTIVE, budget)
+
+    def test_a_cond_is_computed_once_per_digit_it_reads(self, monkeypatch):
+        # With no rollback, F7's Y && Z reads only Y: 74 vectors, one per
+        # digit of Y, beside the 74 * 74 of each side (16,428 without
+        # tables).  CP4's Y <| Z |> P reads P and Y, and the budget ends in
+        # P's first digit: 74 vectors beside 13,514 per side (40,542).
+        calls = []
+        subst_vector = Forest.subst_vector
+
+        def counted(forest, *args):
+            calls.append(None)
+            return subst_vector(forest, *args)
+
+        monkeypatch.setattr(axioms, "_ROLLBACK_NODES", 10 ** 9)
+        monkeypatch.setattr(Forest, "subst_vector", counted)
+        for table, name, want in (("EqFSCL", "F7", 2 * 5_476 + 74),
+                                  ("CP", "CP4", 2 * 13_514 + 74)):
+            s = next(s for s in table_by_name(table).schemas if s.name == name)
+            calls.clear()
+            r = _exhaustive(s, FREE, 2, 10 ** 6)
+            assert not r.refuted and len(calls) == want
 
 
 def _atoms_to_vars(t):

@@ -88,6 +88,12 @@ class TestCommands:
         assert (code, out) == (2, "")
         assert err == f"sclc: bad valuation entry {entry!r}; use atom=0|1\n"
 
+    @pytest.mark.parametrize("val", ["a=1,a=0", "a=1, a=1"])
+    def test_eval_rejects_an_atom_bound_twice(self, capsys, val):
+        code, out, err = run(capsys, "eval", "a", "--val", val)
+        assert (code, out) == (2, "")
+        assert err == "sclc: atom 'a' is bound twice in --val\n"
+
     def test_to_nand(self, capsys):
         code, out, _ = run(capsys, "to-nand", "!a")
         assert (code, out) == (0, "a ⊼ T\n")
