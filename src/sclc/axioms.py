@@ -23,11 +23,14 @@ its only subst memo: a row is a dict of subst over one argument, the other
 two fixed.  A vector in one argument reads one row (a then or else vector
 a row filled from rows of its own kind, down the cond's children, so it
 opens no cond row per element), a cond with two vector arguments a cond
-row per element.  A free sweep runs in a forest of its own, dropped when
-the check returns, and computes a vector cond in one walk; each outer
-loop level marks that forest and rolls back to the mark after a digit
-once the forest has grown past a fixed bound (Forest.rollback), clearing
-the tables of that level and the ones inside it.
+row per element.  A memorising check keeps its vector conds by their
+arguments' ids, every vector interned (_VectorMemo), so a repeated cond is
+one lookup; the memo goes with the check and empties past a fixed bound.
+A free sweep runs in a forest of its own, dropped when the check returns,
+and computes a vector cond in one walk; each outer loop level marks that
+forest and rolls back to the mark after a digit once the forest has grown
+past a fixed bound (Forest.rollback), dropping the entries of the tables
+of that level and the ones inside it that name a node past the mark.
 """
 
 from __future__ import annotations
@@ -204,8 +207,15 @@ def check_sweep_args(k: int, budget: int, three_valued: bool) -> None:
 # check, with the rows of an earlier layout, filled twice the entries and
 # made mem sweeps 19-32% slower.  Free values are unbounded; a free sweep
 # runs faster in a fresh forest, dropped on return and rolled back to
-# level marks past _ROLLBACK_NODES (this one never rolls back).
+# level marks past _ROLLBACK_NODES (this one never rolls back).  A check
+# keeps its vector conds apart, in a _VectorMemo dropped on return.
 _MEM_FOREST = Forest(mem=True)
+
+# A _VectorMemo's bound.  The k=2 checks of the memorising tables store at
+# most 33,336 (mem1).  At k=3 a vector has 16,430 elements and vector conds
+# hardly repeat: 2 hits in 135 in a CPmem + mem1 check at budget 300,000,
+# which an unbounded memo made 6 MB larger.
+_MEMO_MAX = 65_536
 
 # A free sweep's outer level rolls back to its mark after a digit once this
 # many nodes were built since.  Free tables' peak RSS: 162 MB unbounded,
@@ -225,6 +235,49 @@ def _permutation(j: int, size: int) -> list[int]:
         a += 1
     b = (7 * j + 3) % size
     return [(a * i + b) % size for i in range(size)]
+
+
+class _Vector(list):
+    """A vector interned by a _VectorMemo, named by key (< 0, unlike ids)."""
+
+    __slots__ = ("key",)
+
+    def __hash__(self) -> int:  # by value: an interned vector never changes
+        return hash(tuple(self))
+
+
+class _VectorMemo(dict):
+    """Forest.subst_vector for one memorising check, keyed by its arguments'
+    ids: a scalar's forest id, a vector's key.  Results are interned, one
+    _Vector per distinct value, so a repeated cond is one lookup.  A call
+    that would hold over _MEMO_MAX entries plus interned elements empties
+    the memo for good."""
+
+    def __init__(self, forest: Forest):
+        self.forest, self.vectors, self.full = forest, {}, False
+
+    def intern(self, values: list[int]) -> list[int]:
+        # Counts the entry and the vector that this call may add.
+        if len(self) + 1 + (len(self.vectors) + 1) * len(values) > _MEMO_MAX:
+            self.full = True
+            self.clear()
+            self.vectors.clear()
+            return values
+        v = _Vector(values)
+        v.key = -1 - len(self.vectors)
+        return self.vectors.setdefault(v, v)
+
+    def __call__(self, x, y, z) -> list[int]:
+        if self.full:
+            return self.forest.subst_vector(x, y, z)
+        key = (x if type(x) is int else x.key, y if type(y) is int else y.key,
+               z if type(z) is int else z.key)
+        out = self.get(key)
+        if out is None:
+            out = self.intern(self.forest.subst_vector(x, y, z))
+            if not self.full:
+                self[key] = out
+        return out
 
 
 def _compile(term: Term, var_order: list[str], forest: Forest,
@@ -272,15 +325,16 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
     # level to its value: the loops between repeat those digits, which then
     # cost one lookup.  The table is cleared at each digit of that earlier
     # variable (never if there is none), so it holds at most one entry per
-    # digit of its level; a free sweep's rollback at level j also clears the
-    # tables at levels >= j, whose values may name dropped nodes.  A node
-    # that reads the innermost variable is a vector, one value per digit of
-    # it; that variable's slot holds its whole permuted domain from the
-    # start, and the innermost level only compares the two tops' first n
-    # entries.  Forest.subst_vector computes a vector cond: in a memorising
-    # forest one row read if one argument is a vector, in a free forest one
-    # walk where its shape allows.  The node list is in dependency order,
-    # which the split keeps.
+    # digit of its level; a free sweep's rollback at level j also drops the
+    # entries of the tables at levels >= j that name nodes past its mark.
+    # A node that reads the innermost variable is a vector, one value per
+    # digit of it; that variable's slot holds its whole permuted domain from
+    # the start, and the innermost level only compares the two tops' first
+    # n entries (or sees one interned vector twice).  A memorising check
+    # looks a vector cond up in its _VectorMemo; else Forest.subst_vector
+    # computes it: in a memorising forest one row read if one argument is a
+    # vector, in a free forest one walk where its shape allows.  The node
+    # list is in dependency order, which the split keeps.
     last = nvars - 1
     size = len(domain)
     perms = [_permutation(j, size) for j in range(nvars)]
@@ -291,11 +345,12 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
     # The tables that each level clears at each of its digits.
     clear_at: list[list[dict]] = [[] for _ in range(nvars)]
     slots: list = [0] * len(nodes)
+    subst_vector = _VectorMemo(forest) if forest.mem else forest.subst_vector
 
     def evaluate(a: int, b: int, c: int, vec: bool):
         """The cond over slots a, b and c; vec if one of them is a vector."""
         args = slots[a], slots[b], slots[c]
-        return forest.subst_vector(*args) if vec else forest.subst(*args)
+        return subst_vector(*args) if vec else forest.subst(*args)
 
     for i, op in enumerate(nodes):
         if op[0] == "const":
@@ -308,6 +363,8 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
             is_vector.append(inner)
             if inner:
                 slots[i] = [domain[d] for d in perms[last]]
+                if forest.mem:
+                    slots[i] = subst_vector.intern(slots[i])
             else:
                 var_sets[op[1]].append(i)
         else:
@@ -336,13 +393,15 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
         nonlocal checked, bad_env
         if j == last:
             n = min(size, limit - checked)
-            lhs, rhs = (v[:n] if isinstance(v, list) else [v] * n
-                        for v in (slots[top_l], slots[top_r]))
-            if lhs != rhs:
-                pos = next(p for p in range(n) if lhs[p] != rhs[p])
-                checked += pos + 1
-                bad_env = env[:j] + [perms[j][pos]]
-                return True
+            lhs, rhs = slots[top_l], slots[top_r]
+            if lhs is not rhs:  # e.g. one interned vector: equal
+                lhs, rhs = (v[:n] if isinstance(v, list) else [v] * n
+                            for v in (lhs, rhs))
+                if lhs != rhs:
+                    pos = next(p for p in range(n) if lhs[p] != rhs[p])
+                    checked += pos + 1
+                    bad_env = env[:j] + [perms[j][pos]]
+                    return True
             checked += n
             return checked >= limit
         var_slots = var_sets[j]
@@ -367,10 +426,11 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
                 return True
             if mark is not None and len(forest) - mark[0] > _ROLLBACK_NODES:
                 forest.rollback(mark)  # outer slots predate the mark
-                for level in conds[j:]:  # their tables may name dropped ids
-                    for *_, table in level:
-                        if table:
-                            table.clear()
+                for level in conds[j:]:  # drop entries naming dropped ids
+                    for *_, vec, table in level:
+                        for d, v in list((table or {}).items()):
+                            if (max(v) if vec else v) >= mark[0]:
+                                del table[d]
         return False
 
     if nvars == 0:

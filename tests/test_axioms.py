@@ -144,6 +144,30 @@ class TestExhaustive:
         assert full == capped == (Verdict.PASSED_EXHAUSTIVE, 20_000, True)
         assert capped_slots <= 100_000 < full_slots
 
+    def test_vector_memo_under_a_small_bound(self, monkeypatch):
+        # Past _MEMO_MAX entries plus interned elements the memo empties and
+        # computes every later vector cond: the result is the same, and the
+        # memo never held more than the bound.
+        and_iff = table_by_name("EqMSCL-lI").schemas[5]
+        held = []
+        call = axioms._VectorMemo.__call__
+
+        def recorded(memo, *args):
+            out = call(memo, *args)
+            held.append(len(memo) + sum(map(len, memo.vectors)))
+            return out
+
+        monkeypatch.setattr(axioms._VectorMemo, "__call__", recorded)
+        runs = []
+        for bound in (axioms._MEMO_MAX, 2_000):
+            monkeypatch.setattr(axioms, "_MEMO_MAX", bound)
+            held.clear()
+            r = _exhaustive(and_iff, MEM, 2, 10 ** 6)
+            runs.append(((r.verdict, r.count), max(held), held[-1]))
+        (full, full_held, _), (capped, capped_held, capped_last) = runs
+        assert full == capped == (Verdict.PASSED_EXHAUSTIVE, 405_224)
+        assert capped_held <= 2_000 < full_held and capped_last == 0
+
     def test_free_sweep_leaves_the_memorising_forest_alone(self):
         before = len(_MEM_FOREST._rev)
         r = check_schema(table_by_name("CP").schemas[3], FREE, "exhaustive",
@@ -259,6 +283,10 @@ class TestSweepReference:
          "(X || (Z && F)) && (Y || (Z && F))"),
         ("hoisted", "(X || (Z && F)) && Y", "Y && (X || (Z && F))"),
         ("twoBranches", "X <-> Z", "Z <| X |> !Z"),  # scalar cond, vector branches
+        # Conds with the innermost variable in two arguments, whose vectors
+        # a memorising sweep reads back from its memo.
+        ("AndIff", "(X && Y) <-> Z", "(X && (Y <-> Z)) || (!X && !Z)"),
+        ("Mem", "(X || Y) && Z", "(!X && (Y && Z)) || (X && Z)"),
     ]
 
     @staticmethod
@@ -342,6 +370,26 @@ class TestSweepReference:
         monkeypatch.setattr(axioms, "_ROLLBACK_NODES", 1)
         assert _exhaustive(table_by_name("CPmem").schemas[1], MEM, 2,
                            5_000).count == 5_000
+
+    def test_a_three_valued_sweep_reads_its_memo_back(self, monkeypatch):
+        # Mem under MEM3 at budget 5,000 evaluates 73 vector conds, and the
+        # memo computes 38 of them: the reference check above covers reads.
+        conds, calls = [], []
+        memo, subst_vector = axioms._VectorMemo.__call__, Forest.subst_vector
+
+        def counted_memo(*args):
+            conds.append(None)
+            return memo(*args)
+
+        def counted(*args):
+            calls.append(None)
+            return subst_vector(*args)
+
+        monkeypatch.setattr(axioms._VectorMemo, "__call__", counted_memo)
+        monkeypatch.setattr(Forest, "subst_vector", counted)
+        s = schema(*next(c for c in self.SCHEMAS if c[0] == "Mem"))
+        assert _exhaustive(s, MEM3, 2, 5_000).count == 5_000
+        assert (len(calls), len(conds)) == (38, 73)
 
     def test_budget_stops_a_vector_before_its_refutation(self):
         # Both are refuted at the fifth instantiation under MEM, so a budget
@@ -439,6 +487,57 @@ class TestSweepTables:
             calls.clear()
             r = _exhaustive(s, FREE, 2, 10 ** 6)
             assert not r.refuted and len(calls) == want
+
+    def test_a_rollback_drops_every_entry_past_its_mark(self, monkeypatch):
+        # W && Y skips X, so its table outlives the rollbacks of the X loop.
+        # At bound 1 they come after every digit, and a table that kept an
+        # entry naming the first node past the mark refutes this valid
+        # schema at 27,381; without rollback nothing is dropped.
+        s = schema("assocX", "(W && Y) && (X || Z)", "W && (Y && (X || Z))")
+        runs = []
+        for bound in (1, 10 ** 9):
+            monkeypatch.setattr(axioms, "_ROLLBACK_NODES", bound)
+            r = _exhaustive(s, FREE, 2, 30_000)
+            runs.append((r.verdict, r.count))
+        assert runs == [(Verdict.PASSED_EXHAUSTIVE, 30_000)] * 2
+
+    @staticmethod
+    def _subst_vector_calls(monkeypatch, table, name):
+        calls = []
+        subst_vector = Forest.subst_vector
+
+        def counted(forest, *args):
+            calls.append(None)
+            return subst_vector(forest, *args)
+
+        monkeypatch.setattr(Forest, "subst_vector", counted)
+        t = table_by_name(table)
+        s = next(s for s in t.schemas if s.name == name)
+        r = _exhaustive(s, t.mode_for(s), 2, 10 ** 6)
+        assert not r.refuted
+        return len(calls)
+
+    def test_a_rollback_keeps_table_entries_older_than_its_mark(
+            self, monkeypatch):
+        # At the module bound F7 rolls back 16 times, each time to the
+        # check's first mark, and drops the entries of Y && Z's table that
+        # name nodes built since: 12,050 calls, against 11,026 without
+        # rollback and 12,210 when a rollback cleared whole tables.  Entries
+        # that name only older nodes stay.
+        assert self._subst_vector_calls(monkeypatch, "EqFSCL", "F7") == 12_050
+
+    @pytest.mark.parametrize("table,name,want", [
+        ("EqMSCL-lI", "AndIff", 6_138), ("EqMSCL", "Mem", 6_063),
+        ("EqMSCL-lN", "N3", 6_211),
+    ])
+    def test_a_memorising_sweep_computes_each_vector_cond_once(
+            self, monkeypatch, table, name, want):
+        # These sweeps evaluate 16,577, 16,576 and 22,275 vector conds.  The
+        # memo computes a cond once per distinct key, the three arguments as
+        # ids (a scalar's forest id, an interned vector's key), and reads
+        # every repeat back; its results are interned, so equal vectors
+        # from different conds give later conds one key.
+        assert self._subst_vector_calls(monkeypatch, table, name) == want
 
 
 def _atoms_to_vars(t):
