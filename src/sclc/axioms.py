@@ -18,12 +18,12 @@ is none, so it holds at most one entry per digit of one loop.  A node that
 reads the innermost variable is a vector of one value per digit of it,
 computed by Forest.subst_vector, and the innermost level only compares the
 two sides' vectors.  Memorising sweeps share one memorising forest, where
-every value is one of finitely many mem-basic forms, and whose rows are
-its only subst memo: a row is a dict of subst over one argument, the other
-two fixed.  A vector in one argument reads one row (a then or else vector
-a row filled from rows of its own kind, down the cond's children, so it
-opens no cond row per element), a cond with two vector arguments a cond
-row per element.  A memorising check keeps its vector conds by their
+every value is one of finitely many mem-basic forms.  It memoises subst
+as a free forest does, and keeps a row per (cond, else) pair, a dict of
+subst over the then argument: a then vector reads the row of its cond and
+else branch, an else vector the row of its negated cond and then branch,
+and a vector cond or a cond with two vector arguments goes through subst
+element by element.  A memorising check keeps its vector conds by their
 arguments' ids, every vector interned (_VectorMemo), so a repeated cond is
 one lookup; the memo goes with the check and empties past a fixed bound.
 A free sweep runs in a forest of its own, dropped when the check returns,
@@ -200,15 +200,15 @@ def check_sweep_args(k: int, budget: int, three_valued: bool) -> None:
 
 
 # The forest of every memorising sweep in the process: its values stay in
-# the finite mem-basic universe over the sweep alphabet, and its rows are
+# the finite mem-basic universe over the sweep alphabet, and its memos are
 # shared across schemas: the k=2 checks of CPmem, EqMSCL, EqMSCL-lI,
-# EqMSCL-lN and U fill 474 cond rows with 35,270 entries (1.1 MB) and
-# 6,170 then/else rows with 519,944 entries (16.2 MB).  A forest per
-# check, with the rows of an earlier layout, filled twice the entries and
-# made mem sweeps 19-32% slower.  Free values are unbounded; a free sweep
-# runs faster in a fresh forest, dropped on return and rolled back to
-# level marks past _ROLLBACK_NODES (this one never rolls back).  A check
-# keeps its vector conds apart, in a _VectorMemo dropped on return.
+# EqMSCL-lN and U store 34,321 subst entries (3.5 MB) and 5,767 rows with
+# 489,905 entries (15.5 MB).  A forest per check made these checks 45-65%
+# slower (19-32% with an earlier row layout) and their peak 14 MB higher.
+# Free values are unbounded; a free sweep runs faster in a fresh forest,
+# dropped on return and rolled back to level marks past _ROLLBACK_NODES
+# (this one never rolls back).  A check keeps its vector conds apart, in a
+# _VectorMemo dropped on return.
 _MEM_FOREST = Forest(mem=True)
 
 # A _VectorMemo's bound.  The k=2 checks of the memorising tables store at
@@ -330,11 +330,11 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
     # A node that reads the innermost variable is a vector, one value per
     # digit of it; that variable's slot holds its whole permuted domain from
     # the start, and the innermost level only compares the two tops' first
-    # n entries (or sees one interned vector twice).  A memorising check
-    # looks a vector cond up in its _VectorMemo; else Forest.subst_vector
-    # computes it: in a memorising forest one row read if one argument is a
-    # vector, in a free forest one walk where its shape allows.  The node
-    # list is in dependency order, which the split keeps.
+    # n entries (or sees one interned vector twice).  Each cond keeps the
+    # function that computes it: Forest.subst for scalars; for a vector the
+    # check's _VectorMemo in a memorising sweep, else Forest.subst_vector,
+    # one walk where the vector cond's shape allows.  The node list is in
+    # dependency order, which the split keeps.
     last = nvars - 1
     size = len(domain)
     perms = [_permutation(j, size) for j in range(nvars)]
@@ -346,11 +346,6 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
     clear_at: list[list[dict]] = [[] for _ in range(nvars)]
     slots: list = [0] * len(nodes)
     subst_vector = _VectorMemo(forest) if forest.mem else forest.subst_vector
-
-    def evaluate(a: int, b: int, c: int, vec: bool):
-        """The cond over slots a, b and c; vec if one of them is a vector."""
-        args = slots[a], slots[b], slots[c]
-        return subst_vector(*args) if vec else forest.subst(*args)
 
     for i, op in enumerate(nodes):
         if op[0] == "const":
@@ -368,18 +363,20 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
             else:
                 var_sets[op[1]].append(i)
         else:
-            read = set().union(*(reads[c] for c in op[1:]))
-            vec = any(is_vector[c] for c in op[1:])
+            _, a, b, c = op
+            read = reads[a] | reads[b] | reads[c]
+            vec = is_vector[a] or is_vector[b] or is_vector[c]
             reads.append(read)
             is_vector.append(vec)
+            fn = subst_vector if vec else forest.subst
             *_, before, lvl = -1, -1, *sorted(read)  # the last two read
             if lvl < 0:
-                slots[i] = evaluate(*op[1:], vec)
+                slots[i] = fn(slots[a], slots[b], slots[c])
                 continue
             table = {} if lvl - before > 1 else None
             if table is not None and before >= 0:
                 clear_at[before].append(table)
-            conds[lvl].append((i, *op[1:], vec, table))
+            conds[lvl].append((i, fn, a, b, c, table))
 
     space = size ** nvars
     limit = min(space, budget)
@@ -415,21 +412,21 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
                 slots[i] = value
             for table in level_tables:
                 table.clear()
-            for i, a, b, c, vec, table in level_conds:
+            for i, fn, a, b, c, table in level_conds:
                 if table is None:
-                    slots[i] = evaluate(a, b, c, vec)
+                    slots[i] = fn(slots[a], slots[b], slots[c])
                 elif (out := table.get(digit)) is not None:
                     slots[i] = out
                 else:
-                    slots[i] = table[digit] = evaluate(a, b, c, vec)
+                    slots[i] = table[digit] = fn(slots[a], slots[b], slots[c])
             if run_level(j + 1):
                 return True
             if mark is not None and len(forest) - mark[0] > _ROLLBACK_NODES:
                 forest.rollback(mark)  # outer slots predate the mark
                 for level in conds[j:]:  # drop entries naming dropped ids
-                    for *_, vec, table in level:
+                    for *_, table in level:
                         for d, v in list((table or {}).items()):
-                            if (max(v) if vec else v) >= mark[0]:
+                            if (max(v) if isinstance(v, list) else v) >= mark[0]:
                                 del table[d]
         return False
 

@@ -101,6 +101,8 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_eq(args) -> int:
+    if args.expr == args.expr2 == "-":  # the second read would be empty
+        raise SclError("eq reads at most one expression from stdin ('-')")
     mode = _mode(args)
     forest = normalform.Forest(mode.congruence == "mem")
     left = congruence.normal_form(parse(_read_expr(args.expr)), mode, forest)

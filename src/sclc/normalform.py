@@ -70,15 +70,16 @@ class Forest:
     T <| a |> T keeps its a.  Per node, a bitmask of the atoms at and below
     it lets reduce() skip subtrees without its atom.  Forest(mem=True)
     memorises: node(a, t, f) first reduces t by a = T and f by a = F, so
-    fold, subst and from_tree give mem-basic forms (from_tree is mf).  Its
-    values are few, so it keeps no subst memo: subst and subst_vector read
-    rows (_Row), lazily filled dicts of subst as a function of one argument,
-    the other two fixed (a computed table, as in Brace, Rudell and Bryant,
-    DAC 1990)."""
+    fold, subst and from_tree give mem-basic forms (from_tree is mf).  Both
+    kinds memoise subst in one dict.  A memorising forest also keeps rows
+    (_Row) for vector branches, subst(p, x, r) as a function of the then
+    argument x; as x <| p |> y = y <| not p |> x, an else vector reads the
+    then-row of the negated cond, so one row kind serves both branches
+    (standard triples, Brace, Rudell and Bryant, DAC 1990)."""
 
-    # Bounds the entries a memorising forest's rows hold, which outlive
-    # single checks; past it, results are computed and not stored (the
-    # reduce memo underneath keeps that cheap).
+    # Bounds the entries of the subst memo and the rows together, which in
+    # a memorising forest outlive single checks; past it, results are
+    # computed and not stored (the reduce memo underneath keeps that cheap).
     CACHE_MAX = 3_000_000
     T, F, U = 0, 1, 2
 
@@ -89,10 +90,10 @@ class Forest:
         self._mask: list[int] = [0, 0, 0]
         self._bits: dict[str, int] = {}
         self._trees: dict[int, BasicForm] = {0: LEAF_T, 1: LEAF_F, 2: LEAF_U}
-        self._subst: dict[tuple[int, int, int], int] = {}  # free forests only
+        self._subst: dict[tuple[int, int, int], int] = {}
         self._reduce: dict[tuple[int, str, bool], int] = {}
-        self._rows: dict[tuple[int, int, int], _Row] = {}
-        self._slots = 0  # entries stored in rows, at most CACHE_MAX
+        self._rows: dict[tuple[int, int], _Row] = {}  # memorising forests only
+        self._slots = 0  # row entries; with _subst's, at most CACHE_MAX
 
     def node(self, atom: str, on_true: int, on_false: int) -> int:
         if self.mem:
@@ -171,14 +172,12 @@ class Forest:
     def subst(self, p: int, q: int, r: int) -> int:
         if p < 3:
             return (q, r, p)[p]
-        if self.mem:  # _row inlined: a k=2 mem sweep makes 2.1 M calls
-            return (self._rows.get((0, q, r)) or _Row(self, 0, q, r))[p]
         key = (p, q, r)
         out = self._subst.get(key)
         if out is None:
             atom, pt, pf = self._rev[p]
             out = self.node(atom, self.subst(pt, q, r), self.subst(pf, q, r))
-            if len(self._subst) < self.CACHE_MAX:
+            if len(self._subst) + self._slots < self.CACHE_MAX:
                 self._subst[key] = out
         return out
 
@@ -188,16 +187,16 @@ class Forest:
         take one walk and write nothing to the subst memo: a vector cond
         with scalar branches walks the p_i under one memo, and a scalar cond
         with vector branches walks p once over the distinct (q_i, r_i)
-        pairs.  In a memorising forest a single vector reads one row, of its
-        position and the other two arguments.  Other shapes go through
-        subst."""
+        pairs.  In a memorising forest a lone vector branch reads one row:
+        a then vector the row of (p, r), an else vector the row of (not p,
+        q).  Other shapes go through subst."""
         vec_p, vec_q, vec_r = (isinstance(a, list) for a in (p, q, r))
         if not (vec_p or vec_q or vec_r):
             raise ValueError("subst_vector needs a vector argument")
-        if self.mem and vec_p + vec_q + vec_r == 1:
-            row = (self._row(0, q, r) if vec_p else self._row(1, p, r) if vec_q
-                   else self._row(2, p, q))
-            return list(map(row.__getitem__, p if vec_p else q if vec_q else r))
+        if self.mem and not vec_p and vec_q != vec_r:
+            row = (self._row(p, r) if vec_q
+                   else self._row(self.subst(p, self.F, self.T), q))
+            return list(map(row.__getitem__, q if vec_q else r))
         if self.mem or vec_p and (vec_q or vec_r):
             return list(map(self.subst, *(a if isinstance(a, list) else repeat(a)
                                           for a in (p, q, r))))
@@ -260,45 +259,36 @@ class Forest:
             self._reduce[key] = out
         return out
 
-    def _row(self, pos: int, a: int, b: int) -> _Row:
-        """The row of subst in argument pos, a and b the other two arguments
-        in order; a row not kept yet is new and empty."""
-        return self._rows.get((pos, a, b)) or _Row(self, pos, a, b)
+    def _row(self, p: int, r: int) -> _Row:
+        """The then-row of cond p and else branch r; a row not kept yet is
+        new and empty."""
+        return self._rows.get((p, r)) or _Row(self, p, r)
 
 
 class _Row(dict):
-    """subst as a function of its cond (pos 0), then (pos 1) or else (pos 2)
-    argument x, the other two, a and b in order, fixed.  Filled on first
-    lookup: a cond row by recursion on x's children in itself, a then or
-    else row by recursion on the cond a's children in rows of the same pos
-    and b, so a vector branch opens no row per element.  A row is kept in
-    Forest._rows from its first entry on; past Forest.CACHE_MAX entries
-    over all rows, results are computed and not stored."""
+    """subst(p, x, r) as a function of the then argument x, the cond p and
+    the else branch r fixed.  Filled on first lookup by recursion on p's
+    children, in the rows of each child and r, so a vector branch opens no
+    row per element.  A row is kept in Forest._rows from its first entry
+    on; past Forest.CACHE_MAX entries here and in the subst memo, results
+    are computed and not stored."""
 
-    __slots__ = ("forest", "pos", "a", "b")
+    __slots__ = ("forest", "p", "r")
 
-    def __init__(self, forest: Forest, pos: int, a: int, b: int):
-        self.forest, self.pos, self.a, self.b = forest, pos, a, b
+    def __init__(self, forest: Forest, p: int, r: int):
+        self.forest, self.p, self.r = forest, p, r
 
     def __missing__(self, x: int) -> int:
-        f, pos, a, b = self.forest, self.pos, self.a, self.b
-        if pos == 0:  # x is the cond
-            if x < 3:
-                v = (a, b, f.U)[x]
-            else:
-                atom, t, e = f._rev[x]
-                v = f.node(atom, self[t], self[e])
-        else:  # x is a branch, a the cond
-            leaves = (x, b, f.U) if pos == 1 else (b, x, f.U)
-            if a < 3:
-                v = leaves[a]
-            else:
-                atom, t, e = f._rev[a]
-                v = f.node(atom, leaves[t] if t < 3 else f._row(pos, t, b)[x],
-                           leaves[e] if e < 3 else f._row(pos, e, b)[x])
-        if f._slots < f.CACHE_MAX:
+        f, p, r = self.forest, self.p, self.r
+        if p < 3:
+            v = (x, r, f.U)[p]
+        else:
+            atom, t, e = f._rev[p]
+            v = f.node(atom, (x, r, f.U)[t] if t < 3 else f._row(t, r)[x],
+                       (x, r, f.U)[e] if e < 3 else f._row(e, r)[x])
+        if len(f._subst) + f._slots < f.CACHE_MAX:
             if not self:
-                f._rows[pos, a, b] = self
+                f._rows[p, r] = self
             self[x] = v
             f._slots += 1
         return v

@@ -65,10 +65,15 @@ def all_valuations(names: list[str]) -> list[dict[str, bool]]:
 
 
 def stored_slots(forest) -> int:
-    """Entries the rows of a memorising forest hold."""
-    return sum(map(len, forest._rows.values()))
+    """Entries a forest's subst memo and rows hold, which CACHE_MAX bounds
+    together."""
+    return len(forest._subst) + sum(map(len, forest._rows.values()))
 
 
-def cond_rows(forest) -> dict:
-    """A memorising forest's kept pos-0 rows, keyed by their branches."""
-    return {(q, r): row for (pos, q, r), row in forest._rows.items() if pos == 0}
+def stored_substs(forest):
+    """Every stored result of subst, as ((p, q, r), value): the subst memo's
+    entries, then each row entry, subst(p, x, r) kept in the row of (p, r)."""
+    yield from forest._subst.items()
+    for (p, r), row in forest._rows.items():
+        for x, value in row.items():
+            yield (p, x, r), value

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import all_valuations, cond_rows, random_term, stored_slots
+from conftest import all_valuations, random_term, stored_slots
 from sclc import axioms
 from sclc.axioms import (
     _MEM_FOREST, Schema, Verdict, _exhaustive, _fresh_names, _permutation,
@@ -124,10 +124,14 @@ class TestExhaustive:
         for atom, t, e in f._rev[3:]:
             assert not (f._mask[t] | f._mask[e]) & f._bits[atom]
 
-    def test_memorising_sweep_keeps_no_subst_memo(self):
+    def test_memorising_sweep_keeps_subst_and_then_rows(self):
+        # Scalar conds go to the subst memo, vector branches to the rows of
+        # (cond, else) pairs.
         check_schema(table_by_name("EqMSCL-lI").schemas[0], MEM, "exhaustive",
                      budget=5_000)
-        assert cond_rows(_MEM_FOREST) and not _MEM_FOREST._subst
+        f = _MEM_FOREST
+        assert f._subst and f._rows and all(len(key) == 2 for key in f._rows)
+        assert f._slots == stored_slots(f) - len(f._subst)
 
     def test_k3_sweep_under_a_small_row_cap(self, monkeypatch):
         mem1 = table_by_name("CPmem").schemas[1]
@@ -137,7 +141,6 @@ class TestExhaustive:
             forest = Forest(mem=True)
             monkeypatch.setattr(axioms, "_MEM_FOREST", forest)
             r = check_schema(mem1, MEM, "exhaustive", k=3, budget=20_000)
-            assert not forest._subst
             runs.append(((r.verdict, r.count, r.budget_exceeded),
                          stored_slots(forest)))
         (full, full_slots), (capped, capped_slots) = runs

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 
 import pytest
@@ -40,7 +41,6 @@ class TestNorm:
         assert 'n0 [label="a", shape=circle];' in out
 
     def test_stdin(self, capsys, monkeypatch):
-        import io
         monkeypatch.setattr("sys.stdin", io.StringIO("a && F"))
         code, out, _ = run(capsys, "norm", "-")
         assert code == 0
@@ -48,6 +48,20 @@ class TestNorm:
 
 
 class TestEq:
+    def test_stdin_for_one_side(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("a && F"))
+        code, out, _ = run(capsys, "eq", "-", "F <| a |> F")
+        assert code == 0
+        assert out == "F ◁ a ▷ F\n"
+
+    def test_stdin_for_both_sides_is_a_usage_error(self, capsys, monkeypatch):
+        stdin = io.StringIO("a")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "eq", "-", "-")
+        assert code == 2 and out == ""
+        assert err == "sclc: eq reads at most one expression from stdin ('-')\n"
+        assert stdin.tell() == 0  # rejected before reading
+
     def test_unequal_exits_one_and_prints_both(self, capsys):
         code, out, _ = run(capsys, "eq", "--mem", "a && F", "F && a")
         assert code == 1

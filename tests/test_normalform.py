@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import (
-    all_valuations, cond_rows, random_basic_form, random_term, stored_slots,
+    all_valuations, random_basic_form, random_term, stored_slots, stored_substs,
 )
 from sclc.congruence import TruthValue3, eval_tree, trace_eval
 from sclc.errors import DepthLimitError, InvariantError, OpenTermError
@@ -238,10 +238,17 @@ class TestSubstVector:
 
 
 class TestMemRows:
+    @staticmethod
+    def _all_stored_agree(forest):
+        for args, got in stored_substs(forest):
+            want = mf(subst_tf(*map(forest.to_tree, args)))
+            assert forest.to_tree(got) == want
+
     def test_rows_agree_with_mf_of_subst_under_a_small_cap(self):
         forest = Forest(mem=True)
-        forest.CACHE_MAX = 50  # past it, rows compute without storing
-        forms = enumerate_mem_basic((a, b), three_valued=True)[::23]
+        forest.CACHE_MAX = 50  # past it, subst and rows compute without storing
+        # Largest first, so that subst stores entries before rows fill the cap.
+        forms = enumerate_mem_basic((a, b), three_valued=True)[::23][::-1]
         ids = {id(t): forest.from_tree(t) for t in forms}
         for c, t, e in itertools.product(forms, repeat=3):
             want = mf(subst_tf(c, t, e))
@@ -251,64 +258,87 @@ class TestMemRows:
                         *forest.subst_vector(c_, [t_], e_),
                         *forest.subst_vector(c_, t_, [e_])):
                 assert forest.to_tree(got) == want
-        assert not forest._subst
-        assert forest._slots == stored_slots(forest)
-        assert 0 < stored_slots(forest) <= 50
-        assert len(forest._rows) <= 50  # no empty rows kept past the cap
-        assert len(cond_rows(forest)) < len(forms) ** 2  # some rows dropped
+        # One cap bounds the subst memo and the rows together.
+        assert forest._slots == stored_slots(forest) - len(forest._subst)
+        assert 0 < len(forest._subst) < stored_slots(forest) <= 50
+        assert len(forest._rows) <= forest._slots  # no empty rows kept
+        self._all_stored_agree(forest)
 
     def test_a_row_past_the_cap_takes_no_slot(self):
-        forest = Forest(mem=True)
-        forest.CACHE_MAX = 2  # one row of 2 entries; no second row is kept
-        x = forest.from_tree(Node(a, Node(b, LEAF_F, LEAF_T), LEAF_U))
-        for q, r in ((forest.T, forest.U), (forest.U, forest.T)):
-            got = forest.to_tree(forest.subst(x, q, r))
-            assert got == mf(subst_tf(*map(forest.to_tree, (x, q, r))))
-        [then] = forest.subst_vector(x, [forest.T], forest.U)
-        assert forest.to_tree(then) == mf(subst_tf(forest.to_tree(x), LEAF_T,
-                                                   LEAF_U))
-        assert list(forest._rows) == [(0, forest.T, forest.U)]
-        assert forest._slots == stored_slots(forest) == 2
+        x = Node(a, Node(b, LEAF_F, LEAF_T), LEAF_U)
+        want = mf(subst_tf(x, LEAF_T, LEAF_U))
+        # Either memo fills the cap of 2 alone, with an entry for x and one
+        # for its child, and the other then stores nothing.
+        for rows_first in (False, True):
+            forest = Forest(mem=True)
+            forest.CACHE_MAX = 2
+            x_, child = forest.from_tree(x), forest.from_tree(x.on_true)
+            t, u = forest.T, forest.U
+            reads = [lambda: forest.subst(x_, t, u),
+                     lambda: forest.subst_vector(x_, [t], u)[0]]
+            for read in reads[::-1] if rows_first else reads:
+                assert forest.to_tree(read()) == want
+            if rows_first:
+                assert not forest._subst
+                assert list(forest._rows) == [(child, u), (x_, u)]
+            else:
+                assert not forest._rows
+                assert list(forest._subst) == [(child, t, u), (x_, t, u)]
+            assert stored_slots(forest) == 2
+            assert forest._slots == 2 - len(forest._subst)
 
     def test_branch_rows_agree_with_mf_of_subst(self):
-        """A then or else vector fills rows of its own kind, down p's
-        children, and opens no cond row."""
+        """A then vector reads the row of its cond and else branch, an else
+        vector the then-row of its negated cond; neither goes through subst
+        element by element."""
         forest = Forest(mem=True)
         forms = enumerate_mem_basic((a, b), three_valued=True)[::13]
         ids = [forest.from_tree(t) for t in forms]
         for (c, c_), (x, x_) in itertools.product(zip(forms, ids), repeat=2):
             thens = forest.subst_vector(c_, ids, x_)
             elses = forest.subst_vector(c_, x_, ids)
+            not_c = forest.subst(c_, forest.F, forest.T)
+            assert thens == [forest._rows[c_, x_][y] for y in ids]
+            assert elses == [forest._rows[not_c, x_][y] for y in ids]
             for y, then, orelse in zip(forms, thens, elses):
                 assert forest.to_tree(then) == mf(subst_tf(c, y, x))
                 assert forest.to_tree(orelse) == mf(subst_tf(c, x, y))
-        assert not cond_rows(forest) and not forest._subst
-        assert forest._slots == stored_slots(forest)
+        # The subst memo holds the negations only.
+        assert all(key[1:] == (forest.F, forest.T) for key in forest._subst)
+        assert forest._slots == stored_slots(forest) - len(forest._subst)
         assert all(forest._rows.values())  # kept from the first entry on
 
-    def test_cond_rows_fill_in_place(self):
-        """A row opened before the forest grew, or read at a high id first,
-        holds at each id x exactly subst(x, q, r).  The reads below add
-        entries to the row while filling a node's children."""
+    def test_an_else_vector_keeps_the_u_leaves_of_its_cond(self):
+        # The negated cond must keep each U leaf: x <| U |> y is U.
         forest = Forest(mem=True)
-        small = [forest.from_tree(t) for t in enumerate_mem_basic((a,), True)]
-        grown = small[4], small[7]
-        fresh, fresh_vector = (small[9], small[2]), (small[5], small[10])
-        forest.subst_vector(small, *grown)  # opened while the universe is small
-        big = [forest.from_tree(t) for t in enumerate_mem_basic((a, b), True)]
-        assert len(forest) > 10 * len(small)
-        for x in big:
-            forest.subst(x, *grown)
-        high_first = sorted(big, reverse=True)
-        for x in high_first:
-            forest.subst(x, *fresh)
-        forest.subst_vector(high_first, *fresh_vector)
-        for q, r in (grown, fresh, fresh_vector):
-            row = cond_rows(forest)[q, r]
-            assert row.keys() >= set(big) - {0, 1, 2}  # subst answers leaves
-            for x, got in row.items():
-                want = mf(subst_tf(*map(forest.to_tree, (x, q, r))))
-                assert forest.to_tree(got) == want
+        cond = Node(a, LEAF_U, Node(b, LEAF_T, LEAF_U))
+        c_ = forest.from_tree(cond)
+        forms = enumerate_mem_basic((a, b), three_valued=True)
+        ids = [forest.from_tree(t) for t in forms]
+        for x, x_ in zip(forms[::29], ids[::29]):
+            elses = forest.subst_vector(c_, x_, ids)
+            for y, got in zip(forms, elses):
+                assert forest.to_tree(got) == mf(subst_tf(cond, x, y))
+
+    def test_then_rows_fill_in_place(self):
+        """A then-row opened before the forest grew, or read at a high id
+        first, holds at each x exactly subst(p, x, r); so do the rows of p's
+        children that its fill reads."""
+        forest = Forest(mem=True)
+        small = [forest.from_tree(t) for t in enumerate_mem_basic((a, b), True)]
+        grown = forest.from_tree(Node(a, Node(b, LEAF_T, LEAF_U), LEAF_F)), small[40]
+        fresh = forest.from_tree(Node(b, LEAF_U, Node(a, LEAF_F, LEAF_T))), small[7]
+        forest.subst_vector(grown[0], small, grown[1])  # a small universe yet
+        rng = random.Random(53)
+        big = [forest.from_tree(random_basic_form(rng, (a, b, "c", "d"), 6, True))
+               for _ in range(200)]
+        assert len(forest) > 2 * len(small)
+        forest.subst_vector(grown[0], big, grown[1])
+        forest.subst_vector(fresh[0], sorted(big, reverse=True), fresh[1])
+        for p, r in (grown, fresh):
+            assert forest._rows[p, r].keys() >= set(big)
+        assert len(forest._rows) > 2 and not forest._subst
+        self._all_stored_agree(forest)
 
 
 class TestMbf:
