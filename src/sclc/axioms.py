@@ -47,7 +47,7 @@ from .errors import (
 from .normalform import BasicForm, Forest, enumerate_mem_basic, render
 from .syntax import (
     BINARY_TYPES, UU, Atom, Cond, Const, Not, Term, Var, atoms_of, is_closed,
-    parse, subterms, vars_of,
+    parse, rewrite, subterms, vars_of,
 )
 from .translate import to_core
 
@@ -108,31 +108,24 @@ class CheckResult:
                                 Verdict.REFUTED_EXHAUSTIVE)
 
 
+# rewrite rules that rebuild every node as it was.
+_REBUILD = {kind: kind for kind in (Cond, Not, *BINARY_TYPES)}
+
+
 def instantiate(schema: Schema, sub: Mapping[str, Term]) -> tuple[Term, Term]:
     """Simultaneous substitution of closed terms into both sides."""
     for name, image in sub.items():
         if not is_closed(image):
             raise OpenTermError(f"substitution image for {name} is open")
 
-    def walk(t: Term) -> Term:
-        match t:
-            case Var(name):
-                if name not in sub:
-                    raise MissingBindingError(f"no binding for variable {name}")
-                return sub[name]
-            case Cond(a, b, c):
-                return Cond(walk(a), walk(b), walk(c))
-            case Not(a):
-                return Not(walk(a))
-            case _ if isinstance(t, BINARY_TYPES):
-                return type(t)(walk(t.left), walk(t.right))
-            case _:
-                return t
+    def bind(t: Term) -> Term:
+        if type(t) is not Var:
+            return t
+        if t.name not in sub:
+            raise MissingBindingError(f"no binding for variable {t.name}")
+        return sub[t.name]
 
-    try:
-        return walk(schema.lhs), walk(schema.rhs)
-    finally:
-        del walk  # walk refers to itself; leave no cycle for the collector
+    return rewrite(schema.lhs, _REBUILD, bind), rewrite(schema.rhs, _REBUILD, bind)
 
 
 def _fresh_names(schema: Schema, count: int) -> list[str]:

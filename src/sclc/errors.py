@@ -36,7 +36,9 @@ class OpenTermError(SclError):
 
 
 class DepthLimitError(SclError):
-    """Input (or the tree being built from it) exceeds the recursion guard."""
+    """A term rewrite (syntax.rewrite, so to_core, dual, the NAND coding,
+    instantiate, bf and mbf) met input nested deeper than its depth limit,
+    or a normal form grew past the recursion guard."""
 
 
 class UnboundAtomError(SclError):

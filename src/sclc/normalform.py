@@ -20,9 +20,7 @@ from dataclasses import dataclass
 from itertools import product, repeat
 
 from .errors import DepthLimitError, InvariantError, OpenTermError
-from .syntax import (
-    DEFAULT_DEPTH_LIMIT, Atom, Cond, Const, Term, is_closed, term_depth,
-)
+from .syntax import DEFAULT_DEPTH_LIMIT, Atom, Cond, Const, Term, Var
 from .translate import to_core
 
 
@@ -147,7 +145,8 @@ class Forest:
     def fold(self, core: Term) -> int:
         """Basic form of a to_core result, mem-basic in a memorising forest,
         threading the pending continuations down as eval_tree does: linear
-        on chains.  Memoized on id(subterm): valid while core is kept."""
+        on chains.  Memoized on id(subterm): valid while core is kept.  A
+        variable raises OpenTermError."""
         memo: dict[tuple[int, int, int], int] = {}
 
         def go(t: Term, k_true: int, k_false: int) -> int:
@@ -160,6 +159,9 @@ class Forest:
                 return out
             if isinstance(t, Atom):
                 return self.node(t.name, k_true, k_false)
+            if isinstance(t, Var):
+                raise OpenTermError(
+                    f"{'mbf' if self.mem else 'bf'} requires a closed term")
             return k_true if t.value == "T" else k_false if t.value == "F" else self.U
 
         try:
@@ -306,10 +308,7 @@ def subst_tf(p: BasicForm, q: BasicForm, r: BasicForm) -> BasicForm:
 
 def _normalize(term: Term, depth_limit: int, forest: Forest | None,
                mem: bool) -> BasicForm:
-    if not is_closed(term):
-        raise OpenTermError(f"{'mbf' if mem else 'bf'} requires a closed term")
-    if term_depth(term) > depth_limit:
-        raise DepthLimitError(f"term depth exceeds limit {depth_limit}")
+    core = to_core(term, depth_limit)
     # The recursion below is bounded by the depth of the trees built, which
     # can exceed the input depth (though not the input size); give it room.
     if sys.getrecursionlimit() < depth_limit + 2_000:
@@ -319,7 +318,7 @@ def _normalize(term: Term, depth_limit: int, forest: Forest | None,
     elif forest.mem != mem:
         raise ValueError("the forest's congruence does not match the call")
     try:
-        return forest.to_tree(forest.fold(to_core(term)))
+        return forest.to_tree(forest.fold(core))
     except RecursionError:
         raise DepthLimitError("normal form grew past the recursion guard") from None
 

@@ -11,8 +11,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 
-from .errors import AtomCaseError, ParseError
+from .errors import (
+    AtomCaseError, DepthLimitError, ParseError, UnsupportedConnective,
+)
 
 ATOM_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 VAR_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
@@ -141,24 +144,54 @@ def vars_of(term: Term) -> list[str]:
     return list(dict.fromkeys(t.name for t in subterms(term) if isinstance(t, Var)))
 
 
-def term_depth(term: Term) -> int:
-    """Nesting depth, leaves at depth 0.  Iterative; safe on deep input."""
-    depth = 0
-    todo: list[tuple[Term, int]] = [(term, 0)]
+# Open "(" plus pending "!" that parse accepts, and the term depth that
+# rewrite and the normalizers accept.
+DEFAULT_DEPTH_LIMIT = 10_000
+
+# Each node type's arguments, in field order.
+_ARGS = {Cond: attrgetter("then", "cond", "orelse"), Not: lambda t: (t.arg,),
+         **dict.fromkeys(BINARY_TYPES, attrgetter("left", "right"))}
+_LEAF_TYPES = frozenset({Const, Atom, Var})
+
+
+def rewrite(term: Term, rules: dict, leaf=None, refuse: str = "cannot rewrite {}",
+            depth_limit: int = DEFAULT_DEPTH_LIMIT) -> Term:
+    """Rebuild a term bottom-up: a node becomes rules[type] applied to its
+    rewritten arguments in field order, and a leaf t becomes leaf(t), or
+    stays if leaf is None.  A node type without a rule raises
+    UnsupportedConnective(refuse.format(type name)), the outermost first,
+    left to right; a term deeper than depth_limit raises DepthLimitError.
+    One loop over an explicit stack, so deep input needs no recursion."""
+    done: list[Term] = []  # rewritten subterms, left to right
+    todo: list = [term]  # subterms to rewrite, and (rule, arity) to apply
+    depth = 0  # the rules pending on todo: the next subterm's depth
     while todo:
-        t, d = todo.pop()
-        if d > depth:
-            depth = d
-        if isinstance(t, Cond):
-            todo += ((t.then, d + 1), (t.cond, d + 1), (t.orelse, d + 1))
-        elif isinstance(t, Not):
-            todo.append((t.arg, d + 1))
-        elif isinstance(t, BINARY_TYPES):
-            todo += ((t.left, d + 1), (t.right, d + 1))
-    return depth
+        t = todo.pop()
+        kind = type(t)
+        if kind is tuple:
+            rule, n = t
+            args = done[-n:]
+            del done[-n:]
+            done.append(rule(*args))
+            depth -= 1
+        elif kind in _LEAF_TYPES:
+            done.append(t if leaf is None else leaf(t))
+        else:
+            rule = rules.get(kind)
+            if rule is None:
+                raise UnsupportedConnective(refuse.format(kind.__name__))
+            if depth >= depth_limit:
+                raise DepthLimitError(f"term depth exceeds limit {depth_limit}")
+            depth += 1
+            args = _ARGS[kind](t)
+            todo.append((rule, len(args)))
+            todo += reversed(args)
+    return done[0]
 
 
-_DUAL_PAIRS: dict[type, type] = {And: Or, Or: And, Iff: Xor, Xor: Iff, Nand: Nor, Nor: Nand}
+_DUAL = {And: Or, Or: And, Iff: Xor, Xor: Iff, Nand: Nor, Nor: Nand, Not: Not,
+         Cond: lambda then, cond, orelse: Cond(orelse, cond, then)}
+_DUAL_LEAVES = {TT: FF, FF: TT}
 
 
 def dual(term: Term) -> Term:
@@ -167,29 +200,12 @@ def dual(term: Term) -> Term:
     Swaps T and F, fixes U, atoms and variables, reverses the conditional's
     outer arguments, and swaps and/or, iff/xor, nand/nor.
     """
-    match term:
-        case Const("T"):
-            return FF
-        case Const("F"):
-            return TT
-        case Const("U") | Atom() | Var():
-            return term
-        case Cond(then, cond, orelse):
-            return Cond(dual(orelse), dual(cond), dual(then))
-        case Not(arg):
-            return Not(dual(arg))
-        case _:
-            swapped = _DUAL_PAIRS[type(term)]
-            return swapped(dual(term.left), dual(term.right))
+    return rewrite(term, _DUAL, lambda t: _DUAL_LEAVES.get(t, t))
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
-
-# Open "(" plus pending "!" that parse accepts, and the term depth that the
-# normalizers accept.
-DEFAULT_DEPTH_LIMIT = 10_000
 
 # Multi-character operators first so the scanner takes the longest match.
 _OPERATORS = {

@@ -1,84 +1,53 @@
 """Rewrites between the conditional core and the NAND signature.
 
-Each derived connective has exactly one defining conditional equation, so
-to_core is a bottom-up application of those equations:
-
-    !x       ->  F <| x |> T
-    x && y   ->  y <| x |> F
-    x || y   ->  T <| x |> y
-    x <-> y  ->  y <| x |> (F <| y |> T)
-    x ^^ y   ->  (F <| y |> T) <| x |> y
-    x ~& y   ->  (F <| y |> T) <| x |> T
-    x ~| y   ->  F <| x |> (F <| y |> T)
+Each derived connective has exactly one defining conditional equation, and
+_CORE holds them, one rule per connective, so to_core is a bottom-up
+application of those equations.  Cond(x, y, z) is x <| y |> z.
 """
 
 from __future__ import annotations
 
-from .errors import UnsupportedConnective
 from .syntax import (
-    FF, TT, And, Atom, Cond, Const, Iff, Nand, Nor, Not, Or, Term, Var, Xor,
+    DEFAULT_DEPTH_LIMIT, FF, TT, And, Cond, Iff, Nand, Nor, Not, Or, Term, Xor,
+    rewrite,
 )
 
+_CORE = {
+    Cond: Cond,
+    Not: lambda x: Cond(FF, x, TT),
+    And: lambda x, y: Cond(y, x, FF),
+    Or: lambda x, y: Cond(TT, x, y),
+    Iff: lambda x, y: Cond(y, x, Cond(FF, y, TT)),
+    Xor: lambda x, y: Cond(Cond(FF, y, TT), x, y),
+    Nand: lambda x, y: Cond(Cond(FF, y, TT), x, TT),
+    Nor: lambda x, y: Cond(FF, x, Cond(FF, y, TT)),
+}
 
-def to_core(term: Term) -> Term:
+_NAND = {
+    Nand: Nand,
+    Not: lambda x: Nand(x, TT),
+    And: lambda x, y: Nand(Nand(x, y), TT),
+    Or: lambda x, y: Nand(Nand(x, TT), Nand(y, TT)),
+}
+
+
+def to_core(term: Term, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> Term:
     """Eliminate all derived connectives; the result uses only constants,
-    atoms, variables and the conditional."""
-    match term:
-        case Const() | Atom() | Var():
-            return term
-        case Cond(then, cond, orelse):
-            return Cond(to_core(then), to_core(cond), to_core(orelse))
-        case Not(x):
-            return Cond(FF, to_core(x), TT)
-        case And(x, y):
-            return Cond(to_core(y), to_core(x), FF)
-        case Or(x, y):
-            return Cond(TT, to_core(x), to_core(y))
-        case Iff(x, y):
-            yc = to_core(y)
-            return Cond(yc, to_core(x), Cond(FF, yc, TT))
-        case Xor(x, y):
-            yc = to_core(y)
-            return Cond(Cond(FF, yc, TT), to_core(x), yc)
-        case Nand(x, y):
-            return Cond(Cond(FF, to_core(y), TT), to_core(x), TT)
-        case Nor(x, y):
-            return Cond(FF, to_core(x), Cond(FF, to_core(y), TT))
-        case _:
-            raise UnsupportedConnective(f"cannot lower {term!r}")
+    atoms, variables and the conditional.  One walk over an explicit stack:
+    a term deeper than depth_limit raises DepthLimitError, and the operand
+    that <-> and ^^ use twice is one shared object."""
+    return rewrite(term, _CORE, refuse="cannot lower {}", depth_limit=depth_limit)
 
 
 def encode_nand(term: Term) -> Term:
-    """Express a {not, and, or} term using only the sequential NAND:
-
-    !x      ->  x ~& T
-    x && y  ->  (x ~& y) ~& T
-    x || y  ->  (x ~& T) ~& (y ~& T)
-    """
-    match term:
-        case Const() | Atom() | Var():
-            return term
-        case Nand(x, y):
-            return Nand(encode_nand(x), encode_nand(y))
-        case Not(x):
-            return Nand(encode_nand(x), TT)
-        case And(x, y):
-            return Nand(Nand(encode_nand(x), encode_nand(y)), TT)
-        case Or(x, y):
-            return Nand(Nand(encode_nand(x), TT), Nand(encode_nand(y), TT))
-        case _:
-            raise UnsupportedConnective(
-                f"{type(term).__name__} has no direct NAND encoding; "
-                "lower via to_core and normalize instead")
+    """Express a {not, and, or} term using only the sequential NAND, by the
+    rules in _NAND; any other connective raises UnsupportedConnective,
+    naming the outermost."""
+    return rewrite(term, _NAND, refuse="{} has no direct NAND encoding; "
+                   "lower via to_core and normalize instead")
 
 
 def decode_nand(term: Term) -> Term:
     """Inverse reading of the NAND signature: x ~& y -> !(x && y)."""
-    match term:
-        case Const() | Atom() | Var():
-            return term
-        case Nand(x, y):
-            return Not(And(decode_nand(x), decode_nand(y)))
-        case _:
-            raise UnsupportedConnective(
-                f"{type(term).__name__} is outside the NAND signature")
+    return rewrite(term, {Nand: lambda x, y: Not(And(x, y))},
+                   refuse="{} is outside the NAND signature")

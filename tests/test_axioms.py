@@ -43,7 +43,7 @@ class TestInstantiate:
 
     def test_missing_binding(self):
         s = schema("CP1", "X <| T |> Y", "X")
-        with pytest.raises(MissingBindingError):
+        with pytest.raises(MissingBindingError, match="^no binding for variable Y$"):
             instantiate(s, {"X": a})
 
 

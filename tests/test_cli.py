@@ -247,6 +247,14 @@ class TestErrors:
         assert code != 1
         assert code == 0 or err.startswith("sclc: ")
 
+    @pytest.mark.parametrize("command,op", [
+        ("norm", "&&"), ("dual", "&&"), ("to-nand", "&&"), ("from-nand", "~&"),
+    ])
+    def test_too_deep_term_is_a_usage_error(self, capsys, command, op):
+        # A left-nested chain has no parentheses for parse to count.
+        code, out, err = run(capsys, command, f"a {op} " * 10_001 + "a")
+        assert (code, out, err) == (2, "", "sclc: term depth exceeds limit 10000\n")
+
     def test_memory_error_exit_three(self, capsys, monkeypatch):
         def exhausted(term, mode, forest=None):
             raise MemoryError

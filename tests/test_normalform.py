@@ -15,6 +15,7 @@ from sclc.normalform import (
     to_json,
 )
 from sclc.syntax import And, Atom, Iff, Not, Or, Var, Xor, parse
+from sclc.translate import to_core
 
 a, b = "a", "b"
 Q = Node("q", LEAF_T, LEAF_F)
@@ -82,6 +83,28 @@ class TestBf:
 
     def test_depth_guard(self):
         t = Atom("a")
+        for _ in range(200):
+            t = Not(t)
+        # Depth 200 is accepted (the 200 negations cancel), 201 is not.
+        to_core(t, depth_limit=200)
+        assert bf(t, depth_limit=200) == Node(a, LEAF_T, LEAF_F)
+        assert mbf(t, depth_limit=200).tree == Node(a, LEAF_T, LEAF_F)
+        for walk in (to_core, bf, mbf):
+            with pytest.raises(DepthLimitError, match="^term depth exceeds limit 200$"):
+                walk(Not(t), depth_limit=200)
+
+    def test_variable_in_a_shared_operand(self):
+        # to_core shares the right operand of <-> and ^^; the fold still
+        # reaches the variable in it.
+        for ctor in (Iff, Xor):
+            with pytest.raises(OpenTermError, match="^bf requires a closed term$"):
+                bf(ctor(Atom("a"), Var("X")))
+            with pytest.raises(OpenTermError, match="^mbf requires a closed term$"):
+                mbf(ctor(Atom("a"), Var("X")))
+
+    def test_open_and_too_deep_is_a_depth_error(self):
+        # The one lowering walk checks depth before the fold meets a variable.
+        t = Var("X")
         for _ in range(201):
             t = Not(t)
         with pytest.raises(DepthLimitError):

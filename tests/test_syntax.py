@@ -155,9 +155,12 @@ def test_parse_error_table(text, cls, message, line, column, expected):
 
 DEPTH_SCRIPT = r"""
 import json, sys
-from sclc.axioms import Schema
-from sclc.errors import ParseError
-from sclc.syntax import FF, Atom, Cond, Not, atoms_of, is_closed, parse, vars_of
+from sclc.axioms import Schema, instantiate
+from sclc.errors import DepthLimitError, ParseError
+from sclc.syntax import (
+    FF, TT, And, Atom, Cond, Nand, Not, atoms_of, dual, is_closed, parse, vars_of,
+)
+from sclc.translate import decode_nand, encode_nand, to_core
 
 a, b = Atom("a"), Atom("b")
 texts = {
@@ -190,6 +193,31 @@ for name, text in texts.items():
             t = t and peel[name](t)
         out[f"{name}-{n}"] = t == leaf[name]
 out["walks"] = walks(parse("!" * 10_000 + "X && U"))
+
+# Each term rewrite at depth 10,000, its result checked by peeling (== on
+# the whole result would recurse), and one level deeper.
+bangs = parse("!" * 10_000 + "a")
+nands = parse("a ~& " * 10_000 + "a")
+rewrites = {  # name: (rewrite, depth-10,000 input, one level off its result)
+    "to_core": (to_core, bangs, lambda t: t.cond if type(t) is Cond
+                and (t.then, t.orelse) == (FF, TT) else None),
+    "dual": (dual, bangs, peel["bang"]),
+    "encode_nand": (encode_nand, bangs,
+                    lambda t: t.left if type(t) is Nand and t.right == TT else None),
+    "decode_nand": (decode_nand, nands, lambda t: t.arg.left if type(t) is Not
+                    and type(t.arg) is And and t.arg.right == a else None),
+    "instantiate": (lambda t: instantiate(Schema("deep", t, t), {"X": a})[0],
+                    parse("!" * 10_000 + "X"), peel["bang"]),
+}
+for name, (rewrite, t, level) in rewrites.items():
+    u = rewrite(t)
+    for _ in range(10_000):
+        u = u and level(u)
+    try:
+        rewrite(Nand(t, a) if name == "decode_nand" else Not(t))
+        out[name] = [u == a, "accepted"]
+    except DepthLimitError as e:
+        out[name] = [u == a, str(e)]
 out["siblings"] = type(parse("(!a) && " * 10_001 + "a")).__name__
 out["recursion_limit"] = sys.getrecursionlimit()
 print(json.dumps(out))
@@ -216,6 +244,8 @@ def test_depth_limit_without_recursion():
         "paren-10001": [f"{deep} 10001", 1, 10001],
         "cond-10001": [f"{deep} 110011", 1, 110011],
         "walks": [[], ["X"], False, True],
+        **dict.fromkeys(["to_core", "dual", "encode_nand", "decode_nand", "instantiate"],
+                        [True, "term depth exceeds limit 10000"]),
         "siblings": "And",
         "recursion_limit": 1000,
     }

@@ -1,13 +1,13 @@
+import itertools
 import random
 
 import pytest
 
 from conftest import random_term
-from sclc.congruence import MEM, equiv
+from sclc.congruence import MEM, equiv, eval_tree
 from sclc.errors import UnsupportedConnective
-from sclc.normalform import bf
 from sclc.syntax import (
-    FF, TT, And, Atom, Cond, Const, Iff, Nand, Nor, Not, Or, Term, Var, Xor,
+    FF, TT, UU, And, Atom, Cond, Const, Iff, Nand, Nor, Not, Or, Term, Var, Xor,
 )
 from sclc.translate import decode_nand, encode_nand, to_core
 
@@ -54,11 +54,28 @@ class TestToCore:
         for _ in range(200):
             assert only_core(to_core(random_term(rng, max_depth=5, undef=True)))
 
+    def test_shares_the_operand_used_twice(self):
+        y = Or(a, b)
+        iff, xor = to_core(Iff(a, y)), to_core(Xor(a, y))
+        assert iff.then is iff.orelse.cond
+        assert xor.then.cond is xor.orelse
+
     def test_core_elimination_soundness(self):
+        # eval_tree has its own continuation rule per connective and does
+        # not lower, so it checks each equation of to_core independently.
         rng = random.Random(8)
         for _ in range(200):
-            t = random_term(rng, max_depth=5)
-            assert bf(t) == bf(to_core(t))
+            t = random_term(rng, max_depth=5, undef=True)
+            assert eval_tree(to_core(t)) == eval_tree(t)
+
+    def test_every_connective_over_every_leaf_pair(self):
+        leaves = (TT, FF, UU, a, b)
+        terms = [Not(x) for x in leaves]
+        terms += [ctor(x, y) for ctor in (And, Or, Iff, Xor, Nand, Nor)
+                  for x, y in itertools.product(leaves, repeat=2)]
+        terms += [Cond(*xyz) for xyz in itertools.product(leaves, repeat=3)]
+        for t in terms:
+            assert eval_tree(to_core(t)) == eval_tree(t), t
 
 
 class TestEncodeNand:
@@ -78,6 +95,12 @@ class TestEncodeNand:
         for t in (Cond(a, b, a), Iff(a, b), Xor(a, b), Nor(a, b)):
             with pytest.raises(UnsupportedConnective):
                 encode_nand(t)
+
+    def test_unsupported_names_the_outermost(self):
+        with pytest.raises(UnsupportedConnective, match="^Iff has no direct NAND"):
+            encode_nand(Iff(Xor(a, b), Atom("c")))
+        with pytest.raises(UnsupportedConnective, match="^Or is outside"):
+            decode_nand(Nand(Or(And(a, b), a), b))
 
 
 class TestDecodeNand:
