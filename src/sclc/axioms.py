@@ -23,14 +23,16 @@ as a free forest does, and keeps a row per (cond, else) pair, a dict of
 subst over the then argument: a then vector reads the row of its cond and
 else branch, an else vector the row of its negated cond and then branch,
 and a vector cond or a cond with two vector arguments goes through subst
-element by element.  A memorising check keeps its vector conds by their
-arguments' ids, every vector interned (_VectorMemo), so a repeated cond is
-one lookup; the memo goes with the check and empties past a fixed bound.
-A free sweep runs in a forest of its own, dropped when the check returns,
-and computes a vector cond in one walk; each outer loop level marks that
-forest and rolls back to the mark after a digit once the forest has grown
-past a fixed bound (Forest.rollback), dropping the entries of the tables
-of that level and the ones inside it that name a node past the mark.
+element by element; a leaf cond needs no row.  A memorising check keeps
+its vector conds by their arguments' ids, every vector interned
+(_VectorMemo), so a repeated cond is one lookup; the memo goes with the
+check and empties past a fixed bound.  A free sweep runs in a forest of
+its own, dropped when the check returns, and computes a vector cond by
+one run of a postorder program compiled from the cond and kept by its
+ids (Forest.subst_vector); each outer loop level marks that forest and
+rolls back to the mark after a digit once the forest has grown past a
+fixed bound (Forest.rollback), dropping the entries of the tables of that
+level and the ones inside it that name a node past the mark.
 """
 
 from __future__ import annotations
@@ -195,9 +197,10 @@ def check_sweep_args(k: int, budget: int, three_valued: bool) -> None:
 # The forest of every memorising sweep in the process: its values stay in
 # the finite mem-basic universe over the sweep alphabet, and its memos are
 # shared across schemas: the k=2 checks of CPmem, EqMSCL, EqMSCL-lI,
-# EqMSCL-lN and U store 34,321 subst entries (3.5 MB) and 5,767 rows with
-# 489,905 entries (15.5 MB).  A forest per check made these checks 45-65%
-# slower (19-32% with an earlier row layout) and their peak 14 MB higher.
+# EqMSCL-lN and U store 34,321 subst entries (3.5 MB) and 5,328 rows with
+# 394,272 entries (12.6 MB), keys included.  A forest per check made these
+# checks 45-65% slower (19-32% with an earlier row layout) and their peak
+# 14 MB higher.
 # Free values are unbounded; a free sweep runs faster in a fresh forest,
 # dropped on return and rolled back to level marks past _ROLLBACK_NODES
 # (this one never rolls back).  A check keeps its vector conds apart, in a
@@ -211,10 +214,12 @@ _MEM_FOREST = Forest(mem=True)
 _MEMO_MAX = 65_536
 
 # A free sweep's outer level rolls back to its mark after a digit once this
-# many nodes were built since.  Free tables' peak RSS: 162 MB unbounded,
-# 48 MB at 100,000, 29 MB here (under the memorising forest's ~32 MB), 17 MB
-# at 3,000; rolling back after every digit makes EqFSCL/F7 under 10% slower
-# (0.75-0.78 s against 0.69-0.72 s), as vector conds keep no subst memo.
+# many nodes were built since.  CP and EqFSCL at k=2 in one process peak at
+# 162 MB unbounded, 49 MB at 100,000, 30 MB here (under the memorising
+# forest's ~32 MB) and 18 MB at 3,000, where they take 3.0 s against 1.8 s
+# here, as each rollback drops the memo entries made since its mark and
+# every compiled program.  Rolling back after every digit makes EqFSCL/F7
+# about 35% slower (0.90-0.94 s against 0.64-0.72 s).
 _ROLLBACK_NODES = 30_000
 
 # Fixed multipliers for the per-variable domain permutations of a truncated
@@ -326,8 +331,8 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
     # n entries (or sees one interned vector twice).  Each cond keeps the
     # function that computes it: Forest.subst for scalars; for a vector the
     # check's _VectorMemo in a memorising sweep, else Forest.subst_vector,
-    # one walk where the vector cond's shape allows.  The node list is in
-    # dependency order, which the split keeps.
+    # one run of a kept program where the vector cond's shape allows.  The
+    # node list is in dependency order, which the split keeps.
     last = nvars - 1
     size = len(domain)
     perms = [_permutation(j, size) for j in range(nvars)]

@@ -1,9 +1,15 @@
-"""Shared random generators for terms and decision trees."""
+"""Shared random generators for terms and decision trees, forest probes
+and a fresh-interpreter runner."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import sclc
 from sclc.normalform import LEAF_F, LEAF_T, LEAF_U, BasicForm, Node
 from sclc.syntax import (
     FF, TT, UU, And, Atom, Cond, Iff, Nand, Nor, Not, Or, Term, Xor,
@@ -77,3 +83,10 @@ def stored_substs(forest):
     for (p, r), row in forest._rows.items():
         for x, value in row.items():
             yield (p, x, r), value
+
+
+def fresh_python(*args):
+    """Run a fresh interpreter (recursion limit 1,000) with sclc importable."""
+    env = dict(os.environ, PYTHONPATH=str(Path(sclc.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)

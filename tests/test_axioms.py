@@ -491,6 +491,30 @@ class TestSweepTables:
             r = _exhaustive(s, FREE, 2, 10 ** 6)
             assert not r.refuted and len(calls) == want
 
+    def test_a_vector_cond_runs_a_kept_program(self, monkeypatch):
+        # CP4's vector conds repeat their cond vectors: at budget 100,000
+        # its 2,946 vector conds compile 246 programs; a compile on every
+        # call would make these equal.
+        compiled, vector_conds = [], []
+        program, subst_vector = Forest._program, Forest.subst_vector
+
+        def counted_program(forest, p):
+            if p not in forest._programs:
+                compiled.append(p)
+            return program(forest, p)
+
+        def counted(forest, p, q, r):
+            if isinstance(p, list):
+                vector_conds.append(p)
+            return subst_vector(forest, p, q, r)
+
+        monkeypatch.setattr(Forest, "_program", counted_program)
+        monkeypatch.setattr(Forest, "subst_vector", counted)
+        s = next(s for s in table_by_name("CP").schemas if s.name == "CP4")
+        r = _exhaustive(s, FREE, 2, 100_000)
+        assert (r.verdict, r.count) == (Verdict.PASSED_EXHAUSTIVE, 100_000)
+        assert (len(compiled), len(vector_conds)) == (246, 2_946)
+
     def test_a_rollback_drops_every_entry_past_its_mark(self, monkeypatch):
         # W && Y skips X, so its table outlives the rollbacks of the X loop.
         # At bound 1 they come after every digit, and a table that kept an

@@ -1,11 +1,13 @@
 import gc
 import itertools
+import json
 import random
 
 import pytest
 
 from conftest import (
-    all_valuations, random_basic_form, random_term, stored_slots, stored_substs,
+    all_valuations, fresh_python, random_basic_form, random_term, stored_slots,
+    stored_substs,
 )
 from sclc.congruence import TruthValue3, eval_tree, trace_eval
 from sclc.errors import DepthLimitError, InvariantError, OpenTermError
@@ -259,6 +261,77 @@ class TestSubstVector:
         with pytest.raises(ValueError):
             forest.subst_vector(*scalars[:3])
 
+    @staticmethod
+    def _per_element(forest, args):
+        n = len(next(x for x in args if isinstance(x, list)))
+        return [forest.subst(*(x[i] if isinstance(x, list) else x for x in args))
+                for i in range(n)]
+
+    @pytest.mark.parametrize("bound", [Forest.PROGRAMS_MAX, 1])
+    def test_random_vectors_match_subst(self, bound):
+        """Both compiled shapes against subst element by element: vectors
+        with repeats, leaves and U leaves, each drawn many times, so that
+        most calls run a kept program; at bound 1 every new vector clears
+        the programs."""
+        rng = random.Random(59)
+        forest = Forest()
+        forest.PROGRAMS_MAX = bound
+        pool = [forest.T, forest.F, forest.U] + [
+            forest.from_tree(random_basic_form(rng, (a, b, "c"), 5, True))
+            for _ in range(12)]
+        vectors = [[rng.choice(pool) for _ in range(rng.randint(1, 10))]
+                   for _ in range(20)]
+        for _ in range(400):
+            v = rng.choice(vectors)
+            s, s1, s2 = (rng.choice(pool) for _ in range(3))
+            w = [rng.choice(pool[:4]) for _ in v]  # pairs repeat with v
+            for args in ((v, s1, s2), (s, v, s2), (s, s1, v), (s, v, w)):
+                assert forest.subst_vector(*args) == self._per_element(forest, args)
+        assert len(forest._programs) <= bound
+
+    @pytest.mark.parametrize("shape", ["vector cond", "vector branches"])
+    def test_a_rollback_drops_the_compiled_programs(self, shape):
+        # After a rollback one id names another DAG: a program kept across
+        # it would rebuild the one it was compiled from.
+        def args(p):
+            return ([p], q, r) if shape == "vector cond" else (p, [q, r], r)
+
+        forest = Forest()
+        q, r = forest.from_tree(Q), forest.from_tree(R)
+        mark = forest.mark()
+        old = forest.from_tree(Node(a, LEAF_T, Node(b, LEAF_F, LEAF_U)))
+        forest.subst_vector(*args(old))
+        forest.rollback(mark)
+        new = forest.from_tree(Node(b, Node(a, LEAF_U, LEAF_T), LEAF_F))
+        assert new == old
+        assert forest.subst_vector(*args(new)) == self._per_element(forest, args(new))
+
+    def test_a_deep_cond_needs_no_recursion(self):
+        done = fresh_python("-c", SUBST_VECTOR_DEPTH_SCRIPT)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {
+            "vector cond": True, "vector branches": True,
+            "recursion_limit": 1000}
+
+
+# Both compiled shapes of subst_vector on a chain 5,000 deep, under the
+# default recursion limit; subst(x, T, F) is x itself.
+SUBST_VECTOR_DEPTH_SCRIPT = """
+import json, sys
+from sclc.normalform import Forest
+forest = Forest()
+T, F = forest.T, forest.F
+x = all_f = T
+for i in range(5_000):
+    x = forest.node("ab"[i % 2], x, F)
+    all_f = forest.node("ab"[i % 2], all_f if i else F, F)
+print(json.dumps({
+    "vector cond": forest.subst_vector([x, T], T, F) == [x, T],
+    "vector branches": forest.subst_vector(x, [T, F], F) == [x, all_f],
+    "recursion_limit": sys.getrecursionlimit(),
+}))
+"""
+
 
 class TestMemRows:
     @staticmethod
@@ -313,19 +386,22 @@ class TestMemRows:
     def test_branch_rows_agree_with_mf_of_subst(self):
         """A then vector reads the row of its cond and else branch, an else
         vector the then-row of its negated cond; neither goes through subst
-        element by element."""
+        element by element.  A leaf cond opens no row."""
         forest = Forest(mem=True)
-        forms = enumerate_mem_basic((a, b), three_valued=True)[::13]
+        forms = enumerate_mem_basic((a, b), three_valued=True)
+        forms = forms[:3] + forms[13::13]  # the leaves T, F and U first
         ids = [forest.from_tree(t) for t in forms]
         for (c, c_), (x, x_) in itertools.product(zip(forms, ids), repeat=2):
             thens = forest.subst_vector(c_, ids, x_)
             elses = forest.subst_vector(c_, x_, ids)
             not_c = forest.subst(c_, forest.F, forest.T)
-            assert thens == [forest._rows[c_, x_][y] for y in ids]
-            assert elses == [forest._rows[not_c, x_][y] for y in ids]
+            if c_ >= 3:
+                assert thens == [forest._rows[c_, x_][y] for y in ids]
+                assert elses == [forest._rows[not_c, x_][y] for y in ids]
             for y, then, orelse in zip(forms, thens, elses):
                 assert forest.to_tree(then) == mf(subst_tf(c, y, x))
                 assert forest.to_tree(orelse) == mf(subst_tf(c, x, y))
+        assert not any(p < 3 for p, _ in forest._rows)
         # The subst memo holds the negations only.
         assert all(key[1:] == (forest.F, forest.T) for key in forest._subst)
         assert forest._slots == stored_slots(forest) - len(forest._subst)

@@ -1,13 +1,9 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-import sclc
+from conftest import fresh_python
 from sclc.errors import AtomCaseError, ParseError
 from sclc.syntax import (
     FF, TT, UU, And, Atom, Cond, Const, Iff, Nand, Nor, Not, Or, Term, Var, Xor,
@@ -224,15 +220,8 @@ print(json.dumps(out))
 """
 
 
-def _fresh_python(*args):
-    """Run a fresh interpreter (recursion limit 1,000) with sclc importable."""
-    env = dict(os.environ, PYTHONPATH=str(Path(sclc.__file__).parents[1]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, timeout=120)
-
-
 def test_depth_limit_without_recursion():
-    done = _fresh_python("-c", DEPTH_SCRIPT)
+    done = fresh_python("-c", DEPTH_SCRIPT)
     assert done.returncode == 0, done.stderr
     deep = "nesting deeper than 10000 at line 1, column"
     assert json.loads(done.stdout) == {
@@ -253,7 +242,7 @@ def test_depth_limit_without_recursion():
 
 def test_cli_too_deep_is_a_usage_error():
     x = "(" * 10_001 + "a" + ")" * 10_001
-    done = _fresh_python("-m", "sclc.cli", "eq", x, x)
+    done = fresh_python("-m", "sclc.cli", "eq", x, x)
     assert done.returncode == 2
     assert done.stderr == "sclc: nesting deeper than 10000 at line 1, column 10001\n"
 
