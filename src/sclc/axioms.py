@@ -18,18 +18,18 @@ is none, so it holds at most one entry per digit of one loop.  A node that
 reads the innermost variable is a vector of one value per digit of it,
 computed by Forest.subst_vector, and the innermost level only compares the
 two sides' vectors.  Memorising sweeps share one memorising forest, where
-every value is one of finitely many mem-basic forms.  It memoises subst
-as a free forest does, and keeps a row per (cond, else) pair, a dict of
-subst over the then argument: a then vector reads the row of its cond and
-else branch, an else vector the row of its negated cond and then branch,
-and a vector cond or a cond with two vector arguments goes through subst
-element by element; a leaf cond needs no row.  A memorising check keeps
-its vector conds by their arguments' ids, every vector interned
-(_VectorMemo), so a repeated cond is one lookup; the memo goes with the
-check and empties past a fixed bound.  A free sweep runs in a forest of
-its own, dropped when the check returns, and computes a vector cond by
-one run of a postorder program compiled from the cond and kept by its
-ids (Forest.subst_vector); each outer loop level marks that forest and
+every value is one of finitely many mem-basic forms.  It memoises subst as
+a free forest does, and keeps a row per (cond, else) pair, an array of
+subst indexed by the then argument's id: a then vector reads the row of
+its cond and else branch, an else vector the row of its negated cond and
+then branch, and a vector cond or a cond with two vector arguments goes
+through subst element by element; a leaf cond needs no row.  A memorising
+check keeps its vector conds by their arguments' ids, every vector
+interned (_VectorMemo), so a repeated cond is one lookup; the memo goes
+with the check and empties past a fixed bound.  A free sweep runs in a
+forest of its own, dropped when the check returns, and computes a vector
+cond by one run of a postorder program compiled from the cond and kept by
+its ids (Forest.subst_vector); each outer loop level marks that forest and
 rolls back to the mark after a digit once the forest has grown past a
 fixed bound (Forest.rollback), dropping the entries of the tables of that
 level and the ones inside it that name a node past the mark.
@@ -198,9 +198,9 @@ def check_sweep_args(k: int, budget: int, three_valued: bool) -> None:
 # the finite mem-basic universe over the sweep alphabet, and its memos are
 # shared across schemas: the k=2 checks of CPmem, EqMSCL, EqMSCL-lI,
 # EqMSCL-lN and U store 34,321 subst entries (3.5 MB) and 5,328 rows with
-# 394,272 entries (12.6 MB), keys included.  A forest per check made these
-# checks 45-65% slower (19-32% with an earlier row layout) and their peak
-# 14 MB higher.
+# 394,272 entries in 399,600 slots (2.5 MB; 12.6 MB as dicts), keys
+# included.  A forest per check made these checks 58-107% slower and their
+# peak 1 MB lower (with dict rows 45-65% slower and 14 MB higher).
 # Free values are unbounded; a free sweep runs faster in a fresh forest,
 # dropped on return and rolled back to level marks past _ROLLBACK_NODES
 # (this one never rolls back).  A check keeps its vector conds apart, in a

@@ -10,14 +10,17 @@ Bergstra and Ponse, "Proposition algebra" (ACM TOCL 12(3), 2011).
 Both run on a Forest, a hash-consed DAG of decision nodes; Node objects
 are built only for the result, one per distinct subtree.  A memorising
 forest applies the memorising rule once, in its node constructor, so its
-fold gives mem-basic forms and from_tree in it is mf.
+fold gives mem-basic forms and from_tree in it is mf, and keeps the
+substitutions of vector branches in dense rows indexed by id.
 """
 
 from __future__ import annotations
 
 import sys
+from array import array
 from dataclasses import dataclass
 from itertools import product, repeat
+from operator import itemgetter
 
 from .errors import DepthLimitError, InvariantError, OpenTermError
 from .syntax import DEFAULT_DEPTH_LIMIT, Atom, Cond, Const, Term, Var
@@ -69,17 +72,20 @@ class Forest:
     it lets reduce() skip subtrees without its atom.  Forest(mem=True)
     memorises: node(a, t, f) first reduces t by a = T and f by a = F, so
     fold, subst and from_tree give mem-basic forms (from_tree is mf).  Both
-    kinds memoise subst in one dict.  A memorising forest also keeps rows
-    (_Row) for vector branches, subst(p, x, r) as a function of the then
-    argument x; as x <| p |> y = y <| not p |> x, an else vector reads the
-    then-row of the negated cond, so one row kind serves both branches
-    (standard triples, Brace, Rudell and Bryant, DAC 1990).  A free forest
+    kinds memoise subst in one dict.  A memorising forest also keeps a
+    then-row per (p, r) for vector branches: subst(p, x, r) for each id x,
+    in an array('i') indexed by x, -1 where not filled yet, as wide as the
+    forest when opened and widened in place as it grows (a dense computed
+    table, Brace, Rudell and Bryant, DAC 1990); as x <| p |> y =
+    y <| not p |> x, an else vector reads the then-row of the negated
+    cond, so one row kind serves both branches.  A free forest
     compiles the cond of subst_vector into a postorder program over the
     cond's distinct nodes, kept by the cond's ids up to PROGRAMS_MAX at a
     time, so a repeated cond is rebuilt without walking its DAG again."""
 
-    # Bounds the entries of the subst memo and the rows together, which in
-    # a memorising forest outlive single checks; past it, results are
+    # Bounds the subst memo's entries plus the rows' slots, filled or not,
+    # which in a memorising forest outlive single checks.  A row is opened
+    # or widened only if all its new slots fit; past the bound, results are
     # computed and not stored (the reduce memo underneath keeps that cheap).
     CACHE_MAX = 3_000_000
     # Bounds the compiled programs of subst_vector, cleared when full.  At
@@ -97,8 +103,8 @@ class Forest:
         self._trees: dict[int, BasicForm] = {0: LEAF_T, 1: LEAF_F, 2: LEAF_U}
         self._subst: dict[tuple[int, int, int], int] = {}
         self._reduce: dict[tuple[int, str, bool], int] = {}
-        self._rows: dict[tuple[int, int], _Row] = {}  # memorising forests only
-        self._slots = 0  # row entries; with _subst's, at most CACHE_MAX
+        self._rows: dict[tuple[int, int], array] = {}  # memorising forests only
+        self._slots = 0  # row slots; with _subst's entries, at most CACHE_MAX
         self._programs: dict[tuple[int, ...], tuple] = {}  # by _program
 
     def node(self, atom: str, on_true: int, on_false: int) -> int:
@@ -201,9 +207,14 @@ class Forest:
         cond with scalar branches runs it once over one list of values
         seeded with q, r and U, and a scalar cond with vector branches runs
         it step by step over the lists of the distinct (q_i, r_i) pairs.  In
-        a memorising forest a lone vector branch reads one row: a then
-        vector the row of (p, r), an else vector the row of (not p, q).
+        a memorising forest a lone vector branch reads one row (_then): a
+        then vector the row of (p, r), an else vector the row of (not p, q).
         Other shapes go through subst."""
+        if self.mem and type(p) is int and p > 2:  # a lone vector branch first
+            vec_q = isinstance(q, list)
+            if vec_q != isinstance(r, list):
+                return (self._then(p, r, q) if vec_q
+                        else self._then(self.subst(p, self.F, self.T), q, r))
         vec_p, vec_q, vec_r = (isinstance(a, list) for a in (p, q, r))
         if not (vec_p or vec_q or vec_r):
             raise ValueError("subst_vector needs a vector argument")
@@ -211,10 +222,6 @@ class Forest:
             out = (q, r, self.U)[p]
             n = len(q if vec_q else r)
             return list(out) if isinstance(out, list) else [out] * n
-        if self.mem and not vec_p and vec_q != vec_r:
-            row = (self._row(p, r) if vec_q
-                   else self._row(self.subst(p, self.F, self.T), q))
-            return list(map(row.__getitem__, q if vec_q else r))
         if self.mem or vec_p and (vec_q or vec_r):
             return list(map(self.subst, *(a if isinstance(a, list) else repeat(a)
                                           for a in (p, q, r))))
@@ -298,39 +305,35 @@ class Forest:
             self._reduce[key] = out
         return out
 
-    def _row(self, p: int, r: int) -> _Row:
-        """The then-row of cond p and else branch r; a row not kept yet is
-        new and empty."""
-        return self._rows.get((p, r)) or _Row(self, p, r)
-
-
-class _Row(dict):
-    """subst(p, x, r) as a function of the then argument x, the cond p and
-    the else branch r fixed.  Filled on first lookup by recursion on p's
-    children, in the rows of each child and r, so a vector branch opens no
-    row per element.  A row is kept in Forest._rows from its first entry
-    on; past Forest.CACHE_MAX entries here and in the subst memo, results
-    are computed and not stored."""
-
-    __slots__ = ("forest", "p", "r")
-
-    def __init__(self, forest: Forest, p: int, r: int):
-        self.forest, self.p, self.r = forest, p, r
-
-    def __missing__(self, x: int) -> int:
-        f, p, r = self.forest, self.p, self.r
-        if p < 3:
-            v = (x, r, f.U)[p]
-        else:
-            atom, t, e = f._rev[p]
-            v = f.node(atom, (x, r, f.U)[t] if t < 3 else f._row(t, r)[x],
-                       (x, r, f.U)[e] if e < 3 else f._row(e, r)[x])
-        if len(f._subst) + f._slots < f.CACHE_MAX:
-            if not self:
-                f._rows[p, r] = self
-            self[x] = v
-            f._slots += 1
-        return v
+    def _then(self, p: int, r: int, xs: list[int]) -> list[int]:
+        """subst(p, x, r) for each x of xs, p not a leaf, read from the
+        then-row of (p, r).  A missing row is opened, and a row narrower
+        than an x is widened in place, to the forest's width; if its new
+        slots do not fit under CACHE_MAX, subst computes each x instead.
+        Unfilled xs are filled once each, down p's children in their rows
+        with the same r, each child row read once for all of them."""
+        row, n = self._rows.get((p, r)), len(self._rev)
+        if row is None or len(row) < n and max(xs, default=0) >= len(row):
+            new = n - (0 if row is None else len(row))  # slots to allocate
+            if len(self._subst) + self._slots + new > self.CACHE_MAX:
+                return [self.subst(p, x, r) for x in xs]
+            self._slots += new
+            if row is None:
+                row = self._rows[p, r] = array("i", [-1]) * new
+            else:
+                row.extend(repeat(-1, new))
+        read = (itemgetter(*xs) if len(xs) > 1  # of one x it gives no tuple
+                else lambda row: [row[x] for x in xs])
+        out = list(read(row))
+        if -1 in out:
+            miss = [x for x in dict.fromkeys(xs) if row[x] < 0]
+            atom, t, e = self._rev[p]
+            ts, es = (self._then(c, r, miss) if c > 2 else miss if c == 0
+                      else repeat((r, self.U)[c - 1]) for c in (t, e))
+            for x, a, b in zip(miss, ts, es):
+                row[x] = self.node(atom, a, b)
+            out = list(read(row))
+        return out
 
 
 def subst_tf(p: BasicForm, q: BasicForm, r: BasicForm) -> BasicForm:

@@ -71,18 +71,27 @@ def all_valuations(names: list[str]) -> list[dict[str, bool]]:
 
 
 def stored_slots(forest) -> int:
-    """Entries a forest's subst memo and rows hold, which CACHE_MAX bounds
-    together."""
+    """Entries a forest's subst memo and rows hold: a row's unfilled (-1)
+    slots are not entries."""
+    return len(forest._subst) + sum(len(row) - row.count(-1)
+                                    for row in forest._rows.values())
+
+
+def allocated_slots(forest) -> int:
+    """Slots a forest's subst memo and rows take, a row's unfilled ones
+    included, which CACHE_MAX bounds together."""
     return len(forest._subst) + sum(map(len, forest._rows.values()))
 
 
 def stored_substs(forest):
     """Every stored result of subst, as ((p, q, r), value): the subst memo's
-    entries, then each row entry, subst(p, x, r) kept in the row of (p, r)."""
+    entries, then each filled row slot, subst(p, x, r) at x in the row of
+    (p, r)."""
     yield from forest._subst.items()
     for (p, r), row in forest._rows.items():
-        for x, value in row.items():
-            yield (p, x, r), value
+        for x, value in enumerate(row):
+            if value >= 0:
+                yield (p, x, r), value
 
 
 def fresh_python(*args):

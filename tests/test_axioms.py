@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from conftest import all_valuations, random_term, stored_slots
+from conftest import (
+    allocated_slots, all_valuations, random_term, stored_slots, stored_substs,
+)
 from sclc import axioms
 from sclc.axioms import (
     _MEM_FOREST, Schema, Verdict, _exhaustive, _fresh_names, _permutation,
@@ -15,7 +17,9 @@ from sclc.congruence import (
     FREE, FREE3, MEM, MEM3, equiv, eval_tree, normal_form, trace_eval,
 )
 from sclc.errors import MissingBindingError, SignatureError, SweepArgumentError
-from sclc.normalform import Forest, Node, enumerate_mem_basic, render
+from sclc.normalform import (
+    Forest, Node, enumerate_mem_basic, mf, render, subst_tf,
+)
 from sclc.syntax import (
     And, Atom, Cond, Not, TT, UU, Var, atoms_of, dual, parse, vars_of,
 )
@@ -131,7 +135,61 @@ class TestExhaustive:
                      budget=5_000)
         f = _MEM_FOREST
         assert f._subst and f._rows and all(len(key) == 2 for key in f._rows)
-        assert f._slots == stored_slots(f) - len(f._subst)
+        assert f._slots == allocated_slots(f) - len(f._subst)
+        assert all(len(row) <= len(f) for row in f._rows.values())
+
+    def test_rows_of_a_memorising_check_by_count(self, monkeypatch):
+        # A row is one slot per id of the forest when it was opened, 75 in
+        # the two-valued universe over two atoms, and mem1 fills nearly all
+        # of them: 667 rows hold 49,358 entries in 50,025 slots.
+        forest = Forest(mem=True)
+        monkeypatch.setattr(axioms, "_MEM_FOREST", forest)
+        r = check_schema(table_by_name("CPmem").schemas[1], MEM, "exhaustive",
+                         budget=50_000)
+        assert (r.verdict, r.count) == (Verdict.PASSED_EXHAUSTIVE, 50_000)
+        rows, substs = forest._rows.values(), len(forest._subst)
+        assert len(forest) == 75 and len(rows) == 667
+        assert stored_slots(forest) - substs == 49_358
+        assert allocated_slots(forest) - substs == forest._slots == 667 * 75
+        assert all(len(row) <= len(forest) for row in rows)
+
+    def test_rows_widen_from_two_to_three_valued_checks(self, monkeypatch):
+        """Two-valued checks open rows 75 ids wide; a three-valued check in
+        the same forest widens those it reads, in place, to 291, and its
+        results equal those of a fresh forest."""
+        tables = [table_by_name(n) for n in ("CPmem", "EqMSCL", "EqMSCL-lI",
+                                            "EqMSCL-lN")]
+        refuted = schema("AndComm", "X && Y", "Y && X")
+
+        def three_valued():
+            out = [r for t in tables for _, r in check_table(
+                t, "exhaustive", budget=5_000, three_valued=True)]
+            out.append(_exhaustive(refuted, MEM3, 2, 10 ** 6))
+            return [(r.verdict, r.count, r.budget_exceeded, r.witness)
+                    for r in out]
+
+        shared = Forest(mem=True)
+        monkeypatch.setattr(axioms, "_MEM_FOREST", shared)
+        for t in tables:
+            check_table(t, "exhaustive", budget=5_000)
+        before = dict(shared._rows)
+        assert {len(row) for row in before.values()} == {75}
+        grown = three_valued()
+        assert len(shared) == 291
+        assert all(shared._rows[key] is row for key, row in before.items())
+        widened = {key for key, row in before.items() if len(row) > 75}
+        assert len(widened) > 10
+        assert {len(shared._rows[key]) for key in widened} == {291}
+        monkeypatch.setattr(axioms, "_MEM_FOREST", Forest(mem=True))
+        assert grown == three_valued()
+        assert grown[-1][0] is Verdict.REFUTED_EXHAUSTIVE and grown[-1][3]
+        # Every entry of a widened row, and every 97th of the others, is mf
+        # of the substitution.
+        stored = list(stored_substs(shared))
+        for (p, q, r), got in stored[::97] + [
+                ((p, x, r), v) for (p, x, r), v in stored if (p, r) in widened]:
+            want = mf(subst_tf(*map(shared.to_tree, (p, q, r))))
+            assert shared.to_tree(got) == want
 
     def test_k3_sweep_under_a_small_row_cap(self, monkeypatch):
         mem1 = table_by_name("CPmem").schemas[1]
@@ -142,7 +200,7 @@ class TestExhaustive:
             monkeypatch.setattr(axioms, "_MEM_FOREST", forest)
             r = check_schema(mem1, MEM, "exhaustive", k=3, budget=20_000)
             runs.append(((r.verdict, r.count, r.budget_exceeded),
-                         stored_slots(forest)))
+                         allocated_slots(forest)))
         (full, full_slots), (capped, capped_slots) = runs
         assert full == capped == (Verdict.PASSED_EXHAUSTIVE, 20_000, True)
         assert capped_slots <= 100_000 < full_slots

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from conftest import (
-    all_valuations, fresh_python, random_basic_form, random_term, stored_slots,
-    stored_substs,
+    allocated_slots, all_valuations, fresh_python, random_basic_form,
+    random_term, stored_slots, stored_substs,
 )
 from sclc.congruence import TruthValue3, eval_tree, trace_eval
 from sclc.errors import DepthLimitError, InvariantError, OpenTermError
@@ -354,21 +354,25 @@ class TestMemRows:
                         *forest.subst_vector(c_, [t_], e_),
                         *forest.subst_vector(c_, t_, [e_])):
                 assert forest.to_tree(got) == want
-        # One cap bounds the subst memo and the rows together.
-        assert forest._slots == stored_slots(forest) - len(forest._subst)
-        assert 0 < len(forest._subst) < stored_slots(forest) <= 50
-        assert len(forest._rows) <= forest._slots  # no empty rows kept
+        # One cap bounds the subst memo and the rows' slots together.
+        assert forest._slots == allocated_slots(forest) - len(forest._subst)
+        assert 0 < len(forest._subst) < stored_slots(forest)
+        assert stored_slots(forest) <= allocated_slots(forest) <= 50
+        rows = forest._rows.values()
+        assert rows and all(max(row) >= 0 for row in rows)  # no empty rows kept
         self._all_stored_agree(forest)
 
     def test_a_row_past_the_cap_takes_no_slot(self):
         x = Node(a, Node(b, LEAF_F, LEAF_T), LEAF_U)
         want = mf(subst_tf(x, LEAF_T, LEAF_U))
-        # Either memo fills the cap of 2 alone, with an entry for x and one
-        # for its child, and the other then stores nothing.
+        # The cap fits one row as wide as the forest, or the subst entries
+        # for x and its child.  Either memo fills it alone and the other
+        # then stores nothing; the row of x's child, past the cap, is never
+        # opened.
         for rows_first in (False, True):
             forest = Forest(mem=True)
-            forest.CACHE_MAX = 2
             x_, child = forest.from_tree(x), forest.from_tree(x.on_true)
+            forest.CACHE_MAX = width = len(forest)
             t, u = forest.T, forest.U
             reads = [lambda: forest.subst(x_, t, u),
                      lambda: forest.subst_vector(x_, [t], u)[0]]
@@ -376,12 +380,34 @@ class TestMemRows:
                 assert forest.to_tree(read()) == want
             if rows_first:
                 assert not forest._subst
-                assert list(forest._rows) == [(child, u), (x_, u)]
+                assert list(forest._rows) == [(x_, u)]
+                assert allocated_slots(forest) == width
             else:
                 assert not forest._rows
                 assert list(forest._subst) == [(child, t, u), (x_, t, u)]
-            assert stored_slots(forest) == 2
-            assert forest._slots == 2 - len(forest._subst)
+                assert allocated_slots(forest) == 2
+            assert forest._slots == allocated_slots(forest) - len(forest._subst)
+
+    def test_a_row_widens_in_place_only_under_the_cap(self):
+        forest = Forest(mem=True)
+        two = enumerate_mem_basic((a, b))
+        small = [forest.from_tree(t) for t in two]
+        c_, r_ = small[40], small[7]
+        forest.subst_vector(c_, small, r_)
+        row = forest._rows[c_, r_]
+        width = len(row)
+        three = enumerate_mem_basic((a, b), three_valued=True)
+        big = [forest.from_tree(t) for t in three]
+        assert len(forest) > width
+        want = [mf(subst_tf(two[40], y, two[7])) for y in three]
+        forest.CACHE_MAX = allocated_slots(forest)  # no room to widen
+        assert list(map(forest.to_tree, forest.subst_vector(c_, big, r_))) == want
+        assert forest._rows[c_, r_] is row and len(row) == width
+        forest.CACHE_MAX = Forest.CACHE_MAX
+        assert list(map(forest.to_tree, forest.subst_vector(c_, big, r_))) == want
+        assert forest._rows[c_, r_] is row and len(row) == len(forest)
+        assert all(row[x] >= 0 for x in big)
+        assert forest._slots == allocated_slots(forest) - len(forest._subst)
 
     def test_branch_rows_agree_with_mf_of_subst(self):
         """A then vector reads the row of its cond and else branch, an else
@@ -404,8 +430,10 @@ class TestMemRows:
         assert not any(p < 3 for p, _ in forest._rows)
         # The subst memo holds the negations only.
         assert all(key[1:] == (forest.F, forest.T) for key in forest._subst)
-        assert forest._slots == stored_slots(forest) - len(forest._subst)
-        assert all(forest._rows.values())  # kept from the first entry on
+        assert forest._slots == allocated_slots(forest) - len(forest._subst)
+        rows = forest._rows.values()
+        assert all(max(row) >= 0 for row in rows)  # kept from the first entry on
+        assert all(len(row) <= len(forest) for row in rows)
 
     def test_an_else_vector_keeps_the_u_leaves_of_its_cond(self):
         # The negated cond must keep each U leaf: x <| U |> y is U.
@@ -428,14 +456,16 @@ class TestMemRows:
         grown = forest.from_tree(Node(a, Node(b, LEAF_T, LEAF_U), LEAF_F)), small[40]
         fresh = forest.from_tree(Node(b, LEAF_U, Node(a, LEAF_F, LEAF_T))), small[7]
         forest.subst_vector(grown[0], small, grown[1])  # a small universe yet
+        row, width = forest._rows[grown], len(forest)
         rng = random.Random(53)
         big = [forest.from_tree(random_basic_form(rng, (a, b, "c", "d"), 6, True))
                for _ in range(200)]
         assert len(forest) > 2 * len(small)
         forest.subst_vector(grown[0], big, grown[1])
         forest.subst_vector(fresh[0], sorted(big, reverse=True), fresh[1])
+        assert forest._rows[grown] is row and width < len(row) <= len(forest)
         for p, r in (grown, fresh):
-            assert forest._rows[p, r].keys() >= set(big)
+            assert all(forest._rows[p, r][x] >= 0 for x in big)
         assert len(forest._rows) > 2 and not forest._subst
         self._all_stored_agree(forest)
 
