@@ -13,12 +13,9 @@ from .congruence import (
 from .errors import (
     AtomCaseError, DepthLimitError, InvariantError, MissingBindingError,
     OpenTermError, ParseError, SclError, SignatureError, SweepArgumentError,
-    UnboundAtomError, UnsupportedConnective,
+    UnboundAtomError, UnknownTableError, UnsupportedConnective,
 )
-from .nandform import (
-    assume, complement_leaves, from_munbf, is_munbf, nand_nf, render_nand,
-    to_munbf,
-)
+from .nandform import from_munbf, is_munbf, nand_nf, render_nand, to_munbf
 from .normalform import (
     BasicForm, Leaf, LEAF_F, LEAF_T, LEAF_U, MemBasicForm, Node, bf,
     enumerate_mem_basic, is_mem_basic, mbf, mf, reduce, render, subst_tf,

@@ -45,6 +45,7 @@ from math import gcd
 from .congruence import FREE, MEM, MEM3, Mode, normal_form
 from .errors import (
     MissingBindingError, OpenTermError, SignatureError, SweepArgumentError,
+    UnknownTableError,
 )
 from .normalform import BasicForm, Forest, enumerate_mem_basic, render
 from .syntax import (
@@ -607,7 +608,7 @@ def table_by_name(name: str) -> SchemaTable:
     for table in builtin_tables():
         if table.name == name:
             return table
-    raise KeyError(f"no builtin table named {name!r}")
+    raise UnknownTableError(f"no builtin table named {name!r}")
 
 
 def check_table(table: SchemaTable, strategy: str = "fresh_atoms", k: int = 2,

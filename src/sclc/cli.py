@@ -13,7 +13,7 @@ import sys
 
 from . import axioms, congruence, nandform, normalform, translate
 from .congruence import FREE, MEM, Mode
-from .errors import InvariantError, ParseError, SclError
+from .errors import InvariantError, SclError
 from .normalform import render
 from .syntax import ATOM_RE, dual, parse, print_term
 
@@ -219,10 +219,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"sclc: input too large for this process "
               f"({type(exc).__name__})", file=sys.stderr)
         return 3
-    except (ParseError, SclError, KeyError) as exc:
-        # str() of a KeyError quotes its message; print the message plain.
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"sclc: {message}", file=sys.stderr)
+    except SclError as exc:
+        print(f"sclc: {exc}", file=sys.stderr)
         return 2
 
 

@@ -37,8 +37,8 @@ class OpenTermError(SclError):
 
 class DepthLimitError(SclError):
     """A term rewrite (syntax.rewrite, so to_core, dual, the NAND coding,
-    instantiate, bf and mbf) met input nested deeper than its depth limit,
-    or a normal form grew past the recursion guard."""
+    instantiate, bf, mbf and nand_nf) met input nested deeper than its depth
+    limit, or a normal form grew past the recursion guard."""
 
 
 class UnboundAtomError(SclError):
@@ -55,6 +55,10 @@ class MissingBindingError(SclError):
 
 class SignatureError(SclError):
     """Schema uses symbols outside the signature of the requested mode."""
+
+
+class UnknownTableError(SclError):
+    """No builtin axiom table has the requested name."""
 
 
 class SweepArgumentError(SclError):

@@ -3,82 +3,68 @@
 A NAND normal form is a mem-basic decision tree read in the NAND
 signature: Node(a, P, Q) stands for (a ~& P) ~& (a' ~& Q) with a occurring
 in neither P nor Q, where a' abbreviates a ~& T.  nand_nf normalizes any
-closed NAND term to such a tree by structural induction, independently of
-mbf; to_munbf and from_munbf are the paper's bijections f and g, which
-only relabel nodes, so here they unwrap and wrap a MemBasicForm.
-render_nand spells a tree out in the NAND signature.
+closed NAND term to such a tree by structural induction on ~&,
+independently of to_core and mbf: it builds in a free Forest of its own,
+with the paper's steps as Forest operations (priming q is subst(q, F, T),
+assuming an atom's value is reduce).  to_munbf and from_munbf are the
+paper's bijections f and g, which only relabel nodes, so here they unwrap
+and wrap a MemBasicForm.  render_nand spells a tree out in the NAND
+signature.
 """
 
 from __future__ import annotations
 
-from .errors import InvariantError, OpenTermError, UnsupportedConnective
-from .normalform import BasicForm, Leaf, LEAF_T, LEAF_F, LEAF_U, MemBasicForm, Node
+from functools import partial
+
+from .errors import InvariantError, OpenTermError
+from .normalform import BasicForm, Forest, Leaf, MemBasicForm
 from .normalform import is_mem_basic
-from .syntax import Atom, Const, Nand, Term, TT, Var
+from .syntax import Atom, Const, Nand, Term, TT, rewrite
 
 
 is_munbf = is_mem_basic
 
 
-def assume(p: BasicForm, atom: str, value: bool) -> BasicForm:
-    """Remove an atom's nodes given its evaluation result.
+def _combine(forest: Forest, memo: dict[tuple[int, int], int], p: int,
+             q: int) -> int:
+    """Normal form of (p ~& q) for normal forms p and q, ids in forest.
 
-    value=True keeps the true-subtree of matching nodes, value=False the
-    false-subtree; leaves are fixed.  A kept subtree is not searched, so
-    the result is free of atom only if p is mem-basic:
-    assume(Node(a, Node(a, T, F), F), a, True) is Node(a, T, F).
+    T ~& q primes q (swaps its T and F leaves); F ~& q is T; U ~& q is U.
+    For a node, push q into both branches and drop the re-introduced root
+    atom, whose value is known on each side.  Recursion is bounded by the
+    depth of p, a mem-basic form: at most its number of distinct atoms.
     """
-    if isinstance(p, Leaf):
-        return p
-    if p.atom == atom:
-        return p.on_true if value else p.on_false
-    return Node(p.atom, assume(p.on_true, atom, value),
-                assume(p.on_false, atom, value))
-
-
-def complement_leaves(p: BasicForm) -> BasicForm:
-    """Swap T and F leaves, fixing U: the tree-level meaning of priming."""
-    if isinstance(p, Leaf):
-        if p.value == "T":
-            return LEAF_F
-        if p.value == "F":
-            return LEAF_T
-        return p
-    return Node(p.atom, complement_leaves(p.on_true), complement_leaves(p.on_false))
-
-
-def _combine(p: BasicForm, q: BasicForm) -> BasicForm:
-    """Normal form of (p ~& q) for normalized arguments.
-
-    T ~& q complements q's leaves; F ~& q is T; U ~& q is U.  For a node,
-    push q into both branches and drop the re-introduced root atom, whose
-    value is known on each side.
-    """
-    if isinstance(p, Leaf):
-        if p.value == "T":
-            return complement_leaves(q)
-        if p.value == "F":
-            return LEAF_T
-        return LEAF_U
-    return Node(p.atom,
-                assume(_combine(p.on_true, q), p.atom, True),
-                assume(_combine(p.on_false, q), p.atom, False))
+    if p == forest.T:
+        return forest.subst(q, forest.F, forest.T)
+    if p < 3:
+        return forest.T if p == forest.F else forest.U
+    out = memo.get((p, q))
+    if out is None:
+        atom, t, f = forest._rev[p]
+        out = memo[p, q] = forest.node(
+            atom,
+            forest.reduce(_combine(forest, memo, t, q), atom, True),
+            forest.reduce(_combine(forest, memo, f, q), atom, False))
+    return out
 
 
 def nand_nf(term: Term) -> BasicForm:
-    """Normalize a closed term over {T, F, U, atoms, ~&}."""
-    match term:
-        case Const(v):
-            return Leaf(v)
-        case Atom(name):
-            return Node(name, LEAF_T, LEAF_F)
-        case Var():
-            raise OpenTermError("nand_nf requires a closed term")
-        case Nand(x, y):
-            return _combine(nand_nf(x), nand_nf(y))
-        case _:
-            raise UnsupportedConnective(
-                f"{type(term).__name__} is outside the NAND signature")
+    """Normalize a closed term over {T, F, U, atoms, ~&}.  One walk of the
+    term over an explicit stack (syntax.rewrite): a term deeper than its
+    depth limit raises DepthLimitError."""
+    forest = Forest()
+    memo: dict[tuple[int, int], int] = {}
+
+    def leaf(t: Term) -> int:
+        if isinstance(t, Const):
+            return "TFU".index(t.value)
+        if isinstance(t, Atom):
+            return forest.node(t.name, forest.T, forest.F)
+        raise OpenTermError("nand_nf requires a closed term")
+
+    top = rewrite(term, {Nand: partial(_combine, forest, memo)}, leaf,
+                  refuse="{} is outside the NAND signature")
+    return forest.to_tree(top)
 
 
 def to_munbf(p: MemBasicForm | BasicForm) -> BasicForm:

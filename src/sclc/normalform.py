@@ -88,9 +88,12 @@ class Forest:
     # or widened only if all its new slots fit; past the bound, results are
     # computed and not stored (the reduce memo underneath keeps that cheap).
     CACHE_MAX = 3_000_000
-    # Bounds the compiled programs of subst_vector, cleared when full.  At
-    # k=2, CP4 compiles 2,025 for 27,990 vector conds at this bound; 4,096
-    # took the seven tables' sweep from 41.2 to 43.0 MB peak RSS.
+    # Bounds the compiled programs of subst_vector, cleared when full.  The
+    # seven sweep tables at k=2 in one process peak at 30.9-31.0 MB RSS at
+    # this bound and at 1,024, and at 31.7-31.8 MB at 4,096, where EqFSCL
+    # sets the peak, not CP.  Rollbacks clear the programs before larger
+    # bounds fill: CP compiles 2,100 for 28,214 vector conds at all three,
+    # EqFSCL 10,802, 10,652 and 10,477 for 17,802.
     PROGRAMS_MAX = 256
     T, F, U = 0, 1, 2
 
@@ -210,12 +213,12 @@ class Forest:
         a memorising forest a lone vector branch reads one row (_then): a
         then vector the row of (p, r), an else vector the row of (not p, q).
         Other shapes go through subst."""
-        if self.mem and type(p) is int and p > 2:  # a lone vector branch first
-            vec_q = isinstance(q, list)
-            if vec_q != isinstance(r, list):
-                return (self._then(p, r, q) if vec_q
-                        else self._then(self.subst(p, self.F, self.T), q, r))
-        vec_p, vec_q, vec_r = (isinstance(a, list) for a in (p, q, r))
+        vec_q, vec_r = isinstance(q, list), isinstance(r, list)
+        if self.mem and vec_q != vec_r and type(p) is int and p > 2:
+            # a lone vector branch first
+            return (self._then(p, r, q) if vec_q
+                    else self._then(self.subst(p, self.F, self.T), q, r))
+        vec_p = isinstance(p, list)
         if not (vec_p or vec_q or vec_r):
             raise ValueError("subst_vector needs a vector argument")
         if not vec_p and p < 3:  # a leaf cond: no row, no program

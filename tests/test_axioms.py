@@ -16,7 +16,9 @@ from sclc.axioms import (
 from sclc.congruence import (
     FREE, FREE3, MEM, MEM3, equiv, eval_tree, normal_form, trace_eval,
 )
-from sclc.errors import MissingBindingError, SignatureError, SweepArgumentError
+from sclc.errors import (
+    MissingBindingError, SignatureError, SweepArgumentError, UnknownTableError,
+)
 from sclc.normalform import (
     Forest, Node, enumerate_mem_basic, mf, render, subst_tf,
 )
@@ -676,7 +678,7 @@ class TestBuiltinTables:
         assert by_name["AndComm"] == MEM
 
     def test_unknown_table(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(UnknownTableError, match="^no builtin table named 'EqXYZ'$"):
             table_by_name("EqXYZ")
 
     def test_mem_axiom_shape(self):

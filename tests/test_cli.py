@@ -168,6 +168,15 @@ class TestAxiomsCommand:
         assert code == 2
         assert err == "sclc: no builtin table named 'Nope'\n"
 
+    def test_a_key_error_is_not_a_usage_error(self, capsys, monkeypatch):
+        # Only a typed SclError reads as a usage error; a KeyError is a defect.
+        def broken(name):
+            raise KeyError(name)
+
+        monkeypatch.setattr("sclc.axioms.table_by_name", broken)
+        with pytest.raises(KeyError):
+            main(["axioms", "check", "EqMSCL"])
+
     def test_three_valued_widens_the_sweep_domain(self, capsys):
         # c(1) is 6 two-valued and 12 three-valued: a budget of 8 covers
         # only the former.
@@ -249,6 +258,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("command,op", [
         ("norm", "&&"), ("dual", "&&"), ("to-nand", "&&"), ("from-nand", "~&"),
+        ("munbf", "~&"),
     ])
     def test_too_deep_term_is_a_usage_error(self, capsys, command, op):
         # A left-nested chain has no parentheses for parse to count.

@@ -1,17 +1,17 @@
+import json
 import random
 
 import pytest
 
-from conftest import all_valuations, random_term
+from conftest import all_valuations, fresh_python, random_term
 from sclc.congruence import MEM3, equiv, trace_eval
 from sclc.errors import InvariantError, OpenTermError, UnsupportedConnective
 from sclc.nandform import (
-    assume, check_munbf, complement_leaves, from_munbf, is_munbf,
-    nand_nf, render_nand, to_munbf, to_json,
+    check_munbf, from_munbf, is_munbf, nand_nf, render_nand, to_munbf, to_json,
 )
 from sclc.normalform import (
-    LEAF_F, LEAF_T, LEAF_U, Node, enumerate_mem_basic, is_mem_basic, mbf, mf,
-    reduce,
+    LEAF_F, LEAF_T, LEAF_U, Node, enumerate_mem_basic, is_mem_basic, mbf,
+    reduce, subst_tf,
 )
 from sclc.syntax import Atom, And, Nand, TT, UU, Var, atoms_of, parse
 from sclc.translate import decode_nand, to_core
@@ -20,16 +20,18 @@ a, b = "a", "b"
 
 
 class TestAssume:
+    """nand_nf's assume step, an atom's value taken as known, is reduce."""
+
     def test_undef_leaf(self):
-        assert assume(LEAF_U, a, True) == LEAF_U
+        assert reduce(LEAF_U, a, True) == LEAF_U
 
     def test_matching_node_true(self):
         p1, p2 = Node(b, LEAF_T, LEAF_F), LEAF_F
-        assert assume(Node(a, p1, p2), a, True) == p1
+        assert reduce(Node(a, p1, p2), a, True) == p1
 
     def test_recursive_then_match(self):
         tree = Node(a, Node(b, LEAF_T, LEAF_F), LEAF_U)
-        assert assume(tree, b, False) == Node(a, LEAF_F, LEAF_U)
+        assert reduce(tree, b, False) == Node(a, LEAF_F, LEAF_U)
 
     def test_result_drops_atom(self):
         forms = enumerate_mem_basic(("v1", "v2"), three_valued=True)
@@ -37,14 +39,9 @@ class TestAssume:
             q = to_munbf(f)
             for atom in ("v1", "v2"):
                 for value in (True, False):
-                    out = assume(q, atom, value)
+                    out = reduce(q, atom, value)
                     assert is_munbf(out)
                     assert atom not in atoms_of(render_nand(out))
-
-    def test_kept_subtree_keeps_a_repeated_atom(self):
-        """Only mem-basic input comes out free of the atom."""
-        inner = Node(a, LEAF_T, LEAF_F)
-        assert assume(Node(a, inner, LEAF_F), a, True) == inner
 
 
 class TestNandNf:
@@ -80,6 +77,35 @@ class TestNandNf:
             t = random_term(rng, max_depth=5, connectives="nand", undef=True)
             assert is_munbf(nand_nf(t))
 
+    @pytest.mark.parametrize("undef", [False, True], ids=["two-valued", "with-U"])
+    def test_agrees_with_trace_eval(self, undef):
+        # An oracle outside the engine: nand_nf shares reduce with mbf, so
+        # the route commutation below would miss a fault in reduce.  Equal
+        # results and first-inspection orders under every valuation.
+        rng = random.Random(23)
+        valuations = all_valuations(["a", "b", "c"])
+        for _ in range(150):
+            t = random_term(rng, max_depth=5, connectives="nand", undef=undef)
+            form = render_nand(nand_nf(t))
+            for v in valuations:
+                assert trace_eval(form, v) == trace_eval(t, v)
+
+    @pytest.mark.parametrize("depth", [3_000, 10_000])
+    @pytest.mark.parametrize("shape, on_false", [
+        ("a ~& (a ~& (... a))", "T"), ("((a ~& T) ~& T)...", "F")],
+        ids=["right-nested", "left-nested"])
+    def test_deep_input_needs_no_recursion(self, depth, shape, on_false):
+        # Both shapes nest depth ~& (an even count), so each is
+        # T <| a |> on_false; in a fresh interpreter at recursion limit 1,000.
+        if shape.startswith("a"):
+            x = "a ~& (" * (depth - 1) + "a ~& a" + ")" * (depth - 1)
+        else:
+            x = "(" * (depth - 1) + "a ~& T" + ") ~& T" * (depth - 1)
+        done = fresh_python("-m", "sclc.cli", "munbf", "--json", x)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout) == {
+            "nnode": "a", "t": {"leaf": "T"}, "f": {"leaf": on_false}}
+
 
 class TestBijection:
     def test_leaves(self):
@@ -114,14 +140,6 @@ class TestRouteCommutation:
             via_cond = to_munbf(mbf(to_core(decode_nand(t))))
             assert nand_nf(t) == via_cond
 
-    def test_assume_is_image_of_reduce(self):
-        forms = enumerate_mem_basic(("v1", "v2"), three_valued=True)
-        for f in forms:
-            q = to_munbf(f)
-            for atom in ("v1", "v2"):
-                assert to_munbf(mf(reduce(f, atom, True))) == assume(q, atom, True)
-                assert to_munbf(mf(reduce(f, atom, False))) == assume(q, atom, False)
-
 
 class TestSemanticIdentities:
     def test_left_absorption_after_assume(self):
@@ -132,17 +150,19 @@ class TestSemanticIdentities:
         for f in forms[::7]:
             q = to_munbf(f)
             assert equiv(Nand(v1, render_nand(q)),
-                         Nand(v1, render_nand(assume(q, "v1", True))), MEM3)
+                         Nand(v1, render_nand(reduce(q, "v1", True))), MEM3)
             assert equiv(Nand(Nand(v1, TT), render_nand(q)),
-                         Nand(Nand(v1, TT), render_nand(assume(q, "v1", False))),
+                         Nand(Nand(v1, TT), render_nand(reduce(q, "v1", False))),
                          MEM3)
 
 
 class TestHelpers:
     def test_complement_leaves(self):
+        # Priming complements the leaves: subst of F for T and T for F.
         tree = Node(a, LEAF_T, Node(b, LEAF_U, LEAF_F))
-        assert complement_leaves(tree) == Node(a, LEAF_F, Node(b, LEAF_U, LEAF_T))
-        assert complement_leaves(complement_leaves(tree)) == tree
+        primed = subst_tf(tree, LEAF_F, LEAF_T)
+        assert primed == Node(a, LEAF_F, Node(b, LEAF_U, LEAF_T))
+        assert subst_tf(primed, LEAF_F, LEAF_T) == tree
 
     def test_is_munbf_rejects_repeat(self):
         assert not is_munbf(Node(a, Node(a, LEAF_T, LEAF_F), LEAF_F))

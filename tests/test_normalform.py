@@ -11,6 +11,7 @@ from conftest import (
 )
 from sclc.congruence import TruthValue3, eval_tree, trace_eval
 from sclc.errors import DepthLimitError, InvariantError, OpenTermError
+from sclc.nandform import nand_nf
 from sclc.normalform import (
     LEAF_F, LEAF_T, LEAF_U, Forest, Leaf, MemBasicForm, Node, bf,
     enumerate_mem_basic, is_mem_basic, mbf, mf, reduce, render, subst_tf,
@@ -116,12 +117,13 @@ class TestBf:
         # A reference cycle through the forest would keep every table alive
         # until the cycle collector runs.
         t = parse("(a ~& b) ~& (c <-> (a ~& d))")
+        nand = parse("(a ~& b) ~& (c ~& (a ~& d))")  # nand_nf takes ~& only
         enabled = gc.isenabled()
         gc.disable()
         try:
             gc.collect()
-            for normalize in (bf, mbf):
-                normalize(t)
+            for normalize, term in ((bf, t), (mbf, t), (nand_nf, nand)):
+                normalize(term)
                 assert gc.collect() == 0
         finally:
             if enabled:

@@ -32,3 +32,37 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def node_constructors(source: str) -> set[str]:
+    """The top-level function, or Class.method, around each Node(...) call;
+    "" for a call at module level."""
+    found = set()
+
+    def visit(node, where: str, in_class: bool):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Node":
+            found.add(where)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and (not where or in_class):
+            where = f"{where}.{node.name}" if where else node.name
+            in_class = isinstance(node, ast.ClassDef)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, in_class)
+
+    visit(ast.parse(source), "", False)
+    return found
+
+
+def test_the_check_finds_node_constructors():
+    source = ("class F:\n    def to_tree(self):\n        def go(): return Node(1)\n"
+              "def f():\n    return [Node(x) for x in ()]\nNode(0)\n")
+    assert node_constructors(source) == {"F.to_tree", "f", ""}
+
+
+def test_only_the_forest_the_enumeration_and_eval_tree_build_nodes():
+    # Normal forms are built in a Forest and read out by to_tree; other
+    # Node trees come only from the enumeration of mem-basic forms and the
+    # reference evaluator eval_tree, an independent route.
+    built = {f"{path.stem}.{name}" for path in MODULES
+             for name in node_constructors(path.read_text())}
+    assert built == {"normalform.Forest.to_tree",
+                     "normalform.enumerate_mem_basic", "congruence.eval_tree"}
