@@ -279,28 +279,25 @@ class _VectorMemo(dict):
         return out
 
 
-def _compile(term: Term, var_order: list[str], forest: Forest,
-             nodes: list[tuple], index: dict[Term, int]) -> int:
-    """Flatten a core term into a shared postfix node list."""
-    if term in index:
-        return index[term]
-    match term:
-        case Const(v):
-            op = ("const", {"T": forest.T, "F": forest.F, "U": forest.U}[v])
-        case Atom(name):
-            op = ("const", forest.node(name, forest.T, forest.F))
-        case Var(name):
-            op = ("var", var_order.index(name))
-        case Cond(then, cond, orelse):
-            op = ("cond", _compile(cond, var_order, forest, nodes, index),
-                  _compile(then, var_order, forest, nodes, index),
-                  _compile(orelse, var_order, forest, nodes, index))
-        case _:
-            raise AssertionError("non-core term reached the sweep compiler")
-    idx = len(nodes)
-    nodes.append(op)
-    index[term] = idx
-    return idx
+def _compile(schema: Schema, var_order: list[str],
+             forest: Forest) -> tuple[dict[tuple, int], int, int]:
+    """Both sides' core forms as one postfix list of ops, each held once by
+    value (a dict in insertion order), and the indices of the sides' ops."""
+    ops: dict[tuple, int] = {}
+
+    def add(*op) -> int:
+        return ops.setdefault(op, len(ops))
+
+    def leaf(t: Term) -> int:
+        match t:
+            case Const(v):
+                return add("const", {"T": forest.T, "F": forest.F, "U": forest.U}[v])
+            case Atom(name):
+                return add("const", forest.node(name, forest.T, forest.F))
+        return add("var", var_order.index(t.name))
+
+    rules = {Cond: lambda then, cond, orelse: add("cond", cond, then, orelse)}
+    return ops, *(rewrite(to_core(side), rules, leaf) for side in (schema.lhs, schema.rhs))
 
 
 def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
@@ -311,10 +308,7 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
     domain = [forest.from_tree(t)
               for t in enumerate_mem_basic(alphabet, mode.three_valued)]
 
-    nodes: list[tuple] = []
-    index: dict[Term, int] = {}
-    top_l = _compile(to_core(schema.lhs), variables, forest, nodes, index)
-    top_r = _compile(to_core(schema.rhs), variables, forest, nodes, index)
+    nodes, top_l, top_r = _compile(schema, variables, forest)
 
     # A node's level is the largest index among the variables it reads, the
     # innermost one left out: the node is computed at each digit of that

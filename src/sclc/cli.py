@@ -1,7 +1,7 @@
 """Batch command-line front end.
 
 Exit codes: 0 success/equal, 1 unequal/refuted, 2 usage or parse error,
-3 internal invariant violation or exhausted recursion or memory.  Output
+3 internal error (a defect) or exhausted recursion or memory.  Output
 is deterministic for a given argv and stdin.
 """
 
@@ -31,13 +31,13 @@ def _normalizing_command(sub, name: str, summary: str, *exprs: str):
     return out
 
 
-def _printing_command(sub, name: str, summary: str) -> None:
-    """A subcommand that prints one term: --json and --primes."""
+def _printing_command(sub, name: str, summary: str, primes: bool = True) -> None:
+    """A subcommand that prints one term: --json and, if primes, --primes."""
     p = sub.add_parser(name, help=summary)
     p.add_argument("expr")
     p.add_argument("--json", action="store_true", help="JSON output")
-    p.add_argument("--primes", action="store_true",
-                   help="abbreviate x ~& T as x' in output")
+    if primes:
+        p.add_argument("--primes", action="store_true", help="abbreviate x ~& T as x'")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated atom assignments")
 
     _printing_command(sub, "to-nand", "encode !,&&,|| into the NAND signature")
-    _printing_command(sub, "from-nand", "decode a NAND term into !,&&")
+    _printing_command(sub, "from-nand", "decode a NAND term into !,&&", primes=False)
     _printing_command(sub, "munbf", "NAND-signature normal form")
 
     p = sub.add_parser("axioms", help="list or check the builtin axiom tables")
@@ -140,7 +140,7 @@ _TRANSFORMS = {
 
 def _cmd_transform(args) -> int:
     term = _TRANSFORMS[args.command](parse(_read_expr(args.expr)))
-    print(print_term(term, _style(args), primes=args.primes))
+    print(print_term(term, _style(args), primes=getattr(args, "primes", False)))
     return 0
 
 
@@ -222,6 +222,9 @@ def main(argv: list[str] | None = None) -> int:
     except SclError as exc:
         print(f"sclc: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect: never exit 1 or print a traceback
+        print(f"sclc: internal error ({type(exc).__name__})", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ All values are immutable; operations here are pure functions.
 
 from __future__ import annotations
 
-import json
 import re
+import sys
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -156,8 +156,8 @@ _LEAF_TYPES = frozenset({Const, Atom, Var})
 
 def rewrite(term: Term, rules: dict, leaf=None, refuse: str = "cannot rewrite {}",
             depth_limit: int = DEFAULT_DEPTH_LIMIT) -> Term:
-    """Rebuild a term bottom-up: a node becomes rules[type] applied to its
-    rewritten arguments in field order, and a leaf t becomes leaf(t), or
+    """Fold a term bottom-up: a node becomes rules[type] applied to its
+    arguments' results in field order, and a leaf t becomes leaf(t), or
     stays if leaf is None.  A node type without a rule raises
     UnsupportedConnective(refuse.format(type name)), the outermost first,
     left to right; a term deeper than depth_limit raises DepthLimitError.
@@ -374,8 +374,52 @@ def parse(text: str) -> Term:
 # Printing
 # ---------------------------------------------------------------------------
 
-_ASCII_OPS = {Iff: "<->", Xor: "^^", Or: "||", And: "&&", Nand: "~&", Nor: "~|"}
-_UNICODE_OPS = {Iff: "↔ᵒ", Xor: "⊕ᵒ", Or: "∨ᵒ", And: "∧ᵒ", Nand: "⊼", Nor: "⊽"}
+def _wrap(part: tuple[str, int], need: int) -> str:
+    # A part that binds looser than its place requires is parenthesized.
+    return f"({part[0]})" if part[1] < need else part[0]
+
+
+def _leaf_text(t: Term) -> tuple[str, int]:
+    # Leaves, negations and primed terms are never parenthesized.
+    return (t.value if type(t) is Const else t.name), _PREC[Not]
+
+
+def _printer(ops: dict, neg: str, ltri: str, rtri: str, prime: str, primes: bool) -> dict:
+    """print_term's rules for one style: a subterm becomes (text, strength)."""
+    p_not, p_iff = _PREC[Not], _PREC[Iff]
+
+    def binary(op: str, p: int):
+        return lambda x, y: (f"{_wrap(x, p)} {op} {_wrap(y, p + 1)}", p)
+
+    rules = {kind: binary(op, _PREC[kind]) for kind, op in ops.items()}
+    if primes:  # Nand(x, T) becomes x'; only T prints as "T"
+        rules[Nand] = lambda x, y, nand=rules[Nand]: (
+            (_wrap(x, p_not) + prime, p_not) if y[0] == "T" else nand(x, y))
+    rules[Not] = lambda x: (neg + _wrap(x, p_not), p_not)
+    # Parts print at the iff level, so a nested conditional is parenthesized.
+    rules[Cond] = lambda x, y, z: (f"{_wrap(x, p_iff)} {ltri} {_wrap(y, p_iff)}"
+                                   f" {rtri} {_wrap(z, p_iff)}", _PREC[Cond])
+    return rules
+
+
+# Style -> its binary operators, negation, conditional marks and prime.
+_STYLES = {
+    "ascii": ({Iff: "<->", Xor: "^^", Or: "||", And: "&&", Nand: "~&", Nor: "~|"},
+              "!", "<|", "|>", "'"),
+    "unicode": ({Iff: "↔ᵒ", Xor: "⊕ᵒ", Or: "∨ᵒ", And: "∧ᵒ", Nand: "⊼", Nor: "⊽"},
+                "¬", "◁", "▷", "′"),
+}
+_PRINTERS = {(style, primes): _printer(*marks, primes)
+             for style, marks in _STYLES.items() for primes in (False, True)}
+
+# One format string per node type, leaves included.  Names match ATOM_RE or
+# VAR_RE or are T/F/U, so nothing needs escaping.
+_JSON = {kind: fmt.format for kind, fmt in {
+    Const: '{{"const": "{0.value}"}}', Atom: '{{"atom": "{0.name}"}}',
+    Var: '{{"var": "{0.name}"}}', Not: '{{"not": {}}}',
+    Cond: '{{"cond": {{"then": {}, "if": {}, "else": {}}}}}',
+    **{kind: '{{"%s": {{"left": {}, "right": {}}}}}' % kind.__name__.lower()
+       for kind in BINARY_TYPES}}.items()}
 
 
 def print_term(term: Term, style: str = "ascii", primes: bool = False) -> str:
@@ -384,54 +428,11 @@ def print_term(term: Term, style: str = "ascii", primes: bool = False) -> str:
     style "ascii" re-parses to a structurally equal term; "unicode" uses the
     mathematical symbols; "json" produces the nested-object encoding.  With
     primes=True, Nand(t, T) is abbreviated as t' (display only, not parsed).
+    One rewrite, so deep input needs no recursion.
     """
     if style == "json":
-        return json.dumps(_to_json(term), separators=(", ", ": "))
-    if style == "ascii":
-        ops, neg, ltri, rtri, prime = _ASCII_OPS, "!", "<|", "|>", "'"
-    elif style == "unicode":
-        ops, neg, ltri, rtri, prime = _UNICODE_OPS, "¬", "◁", "▷", "′"
-    else:
+        return rewrite(term, _JSON, lambda t: _JSON[type(t)](t), depth_limit=sys.maxsize)
+    rules = _PRINTERS.get((style, bool(primes)))
+    if rules is None:
         raise ValueError(f"unknown print style {style!r}")
-
-    def go(t: Term, min_prec: int) -> str:
-        match t:
-            case Const(v):
-                return v
-            case Atom(name) | Var(name):
-                return name
-            case Nand(x, Const("T")) if primes:
-                return go(x, _PREC[Not]) + prime
-            case Not(x):
-                p = _PREC[Not]
-                s = neg + go(x, p)
-            case Cond(then, cond, orelse):
-                # Parts print at the iff level, so a nested conditional is
-                # parenthesized.
-                s = (f"{go(then, _PREC[Iff])} {ltri} {go(cond, _PREC[Iff])}"
-                     f" {rtri} {go(orelse, _PREC[Iff])}")
-                p = _PREC[Cond]
-            case _:
-                p = _PREC[type(t)]
-                s = f"{go(t.left, p)} {ops[type(t)]} {go(t.right, p + 1)}"
-        return f"({s})" if p < min_prec else s
-
-    return go(term, 0)
-
-
-def _to_json(t: Term):
-    match t:
-        case Const(v):
-            return {"const": v}
-        case Atom(name):
-            return {"atom": name}
-        case Var(name):
-            return {"var": name}
-        case Cond(then, cond, orelse):
-            return {"cond": {"then": _to_json(then), "if": _to_json(cond),
-                             "else": _to_json(orelse)}}
-        case Not(arg):
-            return {"not": _to_json(arg)}
-        case _:
-            key = type(t).__name__.lower()
-            return {key: {"left": _to_json(t.left), "right": _to_json(t.right)}}
+    return rewrite(term, rules, _leaf_text, depth_limit=sys.maxsize)[0]

@@ -1,5 +1,5 @@
-"""Shared random generators for terms and decision trees, forest probes
-and a fresh-interpreter runner."""
+"""Shared random generators and a hypothesis strategy for terms, random
+decision trees, forest probes and a fresh-interpreter runner."""
 
 from __future__ import annotations
 
@@ -9,10 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 import sclc
 from sclc.normalform import LEAF_F, LEAF_T, LEAF_U, BasicForm, Node
 from sclc.syntax import (
-    FF, TT, UU, And, Atom, Cond, Iff, Nand, Nor, Not, Or, Term, Xor,
+    FF, TT, UU, And, Atom, Cond, Iff, Nand, Nor, Not, Or, Term, Var, Xor,
 )
 
 FULL_BINARY = (And, Or, Iff, Xor, Nand, Nor)
@@ -51,6 +53,26 @@ def random_term(rng: random.Random, atoms=("a", "b", "c"), max_depth: int = 5,
     op = rng.choice(FULL_BINARY)
     return op(random_term(rng, atoms, d, connectives, undef),
               random_term(rng, atoms, d, connectives, undef))
+
+
+def terms(with_vars=True):
+    """Hypothesis strategy: terms over every connective, T/F/U, atoms a, b,
+    c and, with_vars, variables X and Y."""
+    leaves = [st.just(TT), st.just(FF), st.just(UU),
+              st.sampled_from([Atom("a"), Atom("b"), Atom("c")])]
+    if with_vars:
+        leaves.append(st.sampled_from([Var("X"), Var("Y")]))
+    return st.recursive(
+        st.one_of(*leaves),
+        lambda ch: st.one_of(
+            st.builds(Not, ch),
+            st.builds(And, ch, ch), st.builds(Or, ch, ch),
+            st.builds(Iff, ch, ch), st.builds(Xor, ch, ch),
+            st.builds(Nand, ch, ch), st.builds(Nor, ch, ch),
+            st.builds(Cond, ch, ch, ch),
+        ),
+        max_leaves=20,
+    )
 
 
 def random_basic_form(rng: random.Random, atoms=("a", "b", "c", "d"),

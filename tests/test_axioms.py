@@ -23,8 +23,9 @@ from sclc.normalform import (
     Forest, Node, enumerate_mem_basic, mf, render, subst_tf,
 )
 from sclc.syntax import (
-    And, Atom, Cond, Not, TT, UU, Var, atoms_of, dual, parse, vars_of,
+    And, Atom, Cond, Not, TT, UU, Var, atoms_of, dual, parse, subterms, vars_of,
 )
+from sclc.translate import to_core
 
 X, Y = Var("X"), Var("Y")
 a, b = Atom("a"), Atom("b")
@@ -514,6 +515,29 @@ class TestSweepTables:
         # clear them: at bound 1 every outer digit rolls back.
         monkeypatch.setattr(axioms, "_ROLLBACK_NODES", 1)
         self._check(schema(name, lhs, rhs), mode)
+
+    def test_compile_holds_a_shared_subterm_once(self):
+        # !X is on both sides of M1: its core form F <| X |> T is one op
+        # that both tops read.  Ops hold one entry per distinct core
+        # subterm, each after its arguments.
+        m1 = next(s for t in builtin_tables() for s in t.schemas if s.name == "M1")
+        forest = Forest()
+        ops, *tops = axioms._compile(m1, list(m1.variables), forest)
+        core = set(subterms(to_core(m1.lhs))) | set(subterms(to_core(m1.rhs)))
+        assert len(ops) == len(core)
+        args = [op[1:] if op[0] == "cond" else () for op in ops]
+        assert all(j < i for i, read in enumerate(args) for j in read)
+
+        def reached(top):
+            todo, seen = [top], set()
+            while todo:
+                i = todo.pop()
+                seen.add(i)
+                todo += args[i]
+            return seen
+
+        not_x = ops["cond", ops["var", 0], ops["const", forest.F], ops["const", forest.T]]
+        assert not_x in reached(tops[0]) & reached(tops[1])
 
     def test_refutation_reads_a_table(self):
         r = _exhaustive(schema(*self.SCHEMAS[1]), MEM, 2, self.BUDGET)

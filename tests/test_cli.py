@@ -1,10 +1,19 @@
 import argparse
+import contextlib
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import fresh_python, terms
+from sclc import nandform
+from sclc.congruence import FREE, MEM, equiv, evaluate, normal_form
 from sclc.cli import _build_parser, main
+from sclc.errors import SclError
+from sclc.normalform import render
+from sclc.syntax import dual, print_term
+from sclc.translate import decode_nand, encode_nand
 
 
 def run(capsys, *argv):
@@ -169,13 +178,14 @@ class TestAxiomsCommand:
         assert err == "sclc: no builtin table named 'Nope'\n"
 
     def test_a_key_error_is_not_a_usage_error(self, capsys, monkeypatch):
-        # Only a typed SclError reads as a usage error; a KeyError is a defect.
+        # Only a typed SclError reads as a usage error; a KeyError is a
+        # defect, reported in one line with exit 3.
         def broken(name):
             raise KeyError(name)
 
         monkeypatch.setattr("sclc.axioms.table_by_name", broken)
-        with pytest.raises(KeyError):
-            main(["axioms", "check", "EqMSCL"])
+        code, out, err = run(capsys, "axioms", "check", "EqMSCL")
+        assert (code, out, err) == (3, "", "sclc: internal error (KeyError)\n")
 
     def test_three_valued_widens_the_sweep_domain(self, capsys):
         # c(1) is 6 two-valued and 12 three-valued: a budget of 8 covers
@@ -214,6 +224,7 @@ class TestSurface:
         ("eval", "a", "--val", "a=1", "--json"),
         ("dual", "--mem", "a"),
         ("axioms", "check", "EqMSCL", "--json"),
+        ("from-nand", "--primes", "a ~& b"),
     ])
     def test_removed_surface_is_a_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -234,7 +245,7 @@ class TestSurface:
             "dual": printing,
             "eval": ["--val"],
             "to-nand": printing,
-            "from-nand": printing,
+            "from-nand": ["--json"],
             "munbf": printing,
             "axioms": ["--budget", "--exhaustive", "--three-valued"],
         }
@@ -278,3 +289,91 @@ class TestErrors:
         first = run(capsys, "norm", "a <-> b || c")
         second = run(capsys, "norm", "a <-> b || c")
         assert first == second
+
+
+# The printing commands on depth-10,000 input, in one interpreter at the
+# default recursion limit, by the output each must print exactly.
+DEEP_PRINT_SCRIPT = r"""
+import contextlib, io, json, sys
+from sclc.cli import main
+
+and_a = ', "right": {"atom": "a"}}}'
+cases = {
+    "dual-5000": (["dual", "!" * 5000 + "a"], "¬" * 5000 + "a"),
+    "dual-10000": (["dual", "!" * 10_000 + "a"], "¬" * 10_000 + "a"),
+    "to-nand": (["to-nand", "a && " * 10_000 + "a"], "a" + " ⊼ a ⊼ T" * 10_000),
+    "to-nand-json": (["to-nand", "--json", "a && " * 10_000 + "a"],
+                     '{"nand": {"left": ' * 20_000 + '{"atom": "a"}'
+                     + (and_a + ', "right": {"const": "T"}}}') * 10_000),
+    "from-nand": (["from-nand", "a ~& " * 10_000 + "a"],
+                  "¬(" * 10_000 + "a" + " ∧ᵒ a)" * 10_000),
+    "dual-json": (["dual", "--json", "a || " * 10_000 + "a"],
+                  '{"and": {"left": ' * 10_000 + '{"atom": "a"}' + and_a * 10_000),
+}
+out = {}
+for name, (argv, want) in cases.items():
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        code = main(argv)
+    out[name] = [code, len(text.getvalue()), text.getvalue() == want + "\n"]
+out["recursion_limit"] = sys.getrecursionlimit()
+print(json.dumps(out))
+"""
+
+
+def test_deep_terms_print_without_recursion():
+    done = fresh_python("-c", DEEP_PRINT_SCRIPT)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {  # [exit code, characters, as wanted]
+        "dual-5000": [0, 5_002, True], "dual-10000": [0, 10_002, True],
+        "to-nand": [0, 80_002, True], "to-nand-json": [0, 890_014, True],
+        "from-nand": [0, 80_002, True], "dual-json": [0, 430_014, True],
+        "recursion_limit": 1000,
+    }
+
+
+def _library(fn):
+    """(exit code, stdout) the CLI must give for a library call: exit 0
+    with its text, or exit 2 if it raises a typed error."""
+    try:
+        return 0, fn()
+    except SclError:
+        return 2, ""
+
+
+def _capture(*argv):
+    """main(argv) outside pytest's capture: (exit code, stdout, stderr)."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _line(term):
+    return print_term(term, "unicode") + "\n"
+
+
+class TestContract:
+    # Every command's exit code on closed terms is the library's answer,
+    # and no exception escapes main.
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(terms(with_vars=False), terms(with_vars=False))
+    def test_exit_codes_follow_the_library(self, t, u):
+        text, text2 = print_term(t), print_term(u)
+        for flag, mode in (("--mem", MEM), ("--free", FREE)):
+            want = _library(lambda: _line(render(normal_form(t, mode))))
+            assert _capture("norm", flag, text)[:2] == want
+            failed, equal = _library(lambda: equiv(t, u, mode))
+            code, _, err = _capture("eq", flag, text, text2)
+            assert code == (failed or (0 if equal else 1)), err
+        expected = {
+            "dual": lambda: _line(dual(t)),
+            "to-nand": lambda: _line(encode_nand(t)),
+            "from-nand": lambda: _line(decode_nand(t)),
+            "munbf": lambda: _line(nandform.render_nand(nandform.nand_nf(t))),
+            "eval": lambda: f"{evaluate(t, {'a': True, 'b': False, 'c': True}).value}\n",
+        }
+        for command, fn in expected.items():
+            extra = ("--val", "a=1,b=0,c=1") if command == "eval" else ()
+            code, out, err = _capture(command, text, *extra)
+            assert code in (0, 1, 2, 3) and "Traceback" not in err
+            assert (code, out) == _library(fn), err

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import fresh_python
+from conftest import fresh_python, terms
 from sclc.errors import AtomCaseError, ParseError
 from sclc.syntax import (
     FF, TT, UU, And, Atom, Cond, Const, Iff, Nand, Nor, Not, Or, Term, Var, Xor,
@@ -11,24 +11,6 @@ from sclc.syntax import (
 )
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
-
-
-def terms(with_vars=True):
-    leaves = [st.just(TT), st.just(FF), st.just(UU),
-              st.sampled_from([a, b, c])]
-    if with_vars:
-        leaves.append(st.sampled_from([Var("X"), Var("Y")]))
-    return st.recursive(
-        st.one_of(*leaves),
-        lambda ch: st.one_of(
-            st.builds(Not, ch),
-            st.builds(And, ch, ch), st.builds(Or, ch, ch),
-            st.builds(Iff, ch, ch), st.builds(Xor, ch, ch),
-            st.builds(Nand, ch, ch), st.builds(Nor, ch, ch),
-            st.builds(Cond, ch, ch, ch),
-        ),
-        max_leaves=20,
-    )
 
 
 # Operators, identifiers, blanks and a few characters outside the grammar.
@@ -247,6 +229,24 @@ def test_cli_too_deep_is_a_usage_error():
     assert done.stderr == "sclc: nesting deeper than 10000 at line 1, column 10001\n"
 
 
+def _reference_json(t: Term):
+    """The nested-object encoding, built recursively."""
+    match t:
+        case Const(v):
+            return {"const": v}
+        case Atom(name):
+            return {"atom": name}
+        case Var(name):
+            return {"var": name}
+        case Cond(then, cond, orelse):
+            return {"cond": {"then": _reference_json(then), "if": _reference_json(cond),
+                             "else": _reference_json(orelse)}}
+        case Not(arg):
+            return {"not": _reference_json(arg)}
+    return {type(t).__name__.lower(): {"left": _reference_json(t.left),
+                                       "right": _reference_json(t.right)}}
+
+
 class TestPrint:
     def test_unicode_conditional(self):
         assert print_term(Cond(TT, a, FF), "unicode") == "T ◁ a ▷ F"
@@ -280,6 +280,12 @@ class TestPrint:
     def test_bad_style(self):
         with pytest.raises(ValueError):
             print_term(TT, "latex")
+
+    @given(terms())
+    def test_json_is_the_nested_object_encoding(self, t):
+        text = print_term(t, "json")
+        assert json.loads(text) == _reference_json(t)
+        assert text == json.dumps(_reference_json(t), separators=(", ", ": "))
 
     @pytest.mark.parametrize("style", ["ascii", "unicode"])
     @given(terms())
