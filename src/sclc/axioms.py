@@ -16,23 +16,23 @@ to its value, so the loops in between cost it one lookup a digit.  The
 table is cleared at each digit of the other variable, and never if there
 is none, so it holds at most one entry per digit of one loop.  A node that
 reads the innermost variable is a vector of one value per digit of it,
-computed by Forest.subst_vector, and the innermost level only compares the
-two sides' vectors.  Memorising sweeps share one memorising forest, where
-every value is one of finitely many mem-basic forms.  It memoises subst as
-a free forest does, and keeps a row per (cond, else) pair, an array of
-subst indexed by the then argument's id: a then vector reads the row of
-its cond and else branch, an else vector the row of its negated cond and
-then branch, and a vector cond or a cond with two vector arguments goes
-through subst element by element; a leaf cond needs no row.  A memorising
-check keeps its vector conds by their arguments' ids, every vector
-interned (_VectorMemo), so a repeated cond is one lookup; the memo goes
-with the check and empties past a fixed bound.  A free sweep runs in a
-forest of its own, dropped when the check returns, and computes a vector
-cond by one run of a postorder program compiled from the cond and kept by
-its ids (Forest.subst_vector); each outer loop level marks that forest and
-rolls back to the mark after a digit once the forest has grown past a
-fixed bound (Forest.rollback), dropping the entries of the tables of that
-level and the ones inside it that name a node past the mark.
+computed by subst_vector, and the innermost level only compares the two
+sides' vectors.  Memorising sweeps share one MemForest, where every value
+is one of finitely many mem-basic forms.  It memoises subst as a Forest
+does, and keeps a row per (cond, else) pair, an array of subst indexed by
+the then argument's id: a then vector reads the row of its cond and else
+branch, an else vector the row of its negated cond and then branch, and a
+vector cond or a cond with two vector arguments goes through subst element
+by element; a leaf cond needs no row.  A memorising check keeps its vector
+conds by their arguments' ids, every vector interned (_VectorMemo), so a
+repeated cond is one lookup; the memo goes with the check and empties past
+a fixed bound.  A free sweep runs in a Forest of its own, dropped when the
+check returns, and computes a vector cond by one run of a postorder program
+compiled from the cond and kept by its ids (Forest.subst_vector); each
+outer loop level marks that forest and rolls back to the mark after a digit
+once the forest has grown past a fixed bound (Forest.rollback), dropping
+the entries of the tables of that level and the ones inside it that name a
+node past the mark.
 """
 
 from __future__ import annotations
@@ -42,12 +42,12 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from math import gcd
 
-from .congruence import FREE, MEM, MEM3, Mode, normal_form
+from .congruence import FREE, MEM, MEM3, Mode, forest_for, normal_form
 from .errors import (
     MissingBindingError, OpenTermError, SignatureError, SweepArgumentError,
     UnknownTableError,
 )
-from .normalform import BasicForm, Forest, enumerate_mem_basic, render
+from .normalform import BasicForm, Forest, MemForest, enumerate_mem_basic, render
 from .syntax import (
     BINARY_TYPES, UU, Atom, Cond, Const, Not, Term, Var, atoms_of, is_closed,
     parse, rewrite, subterms, vars_of,
@@ -166,7 +166,7 @@ def check_schema(schema: Schema, mode: Mode, strategy: str = "fresh_atoms",
     variables = schema.variables
     sub = {v: Atom(a) for v, a in zip(variables, _fresh_names(schema, len(variables)))}
     lhs_t, rhs_t = instantiate(schema, sub)
-    forest = Forest(mode.congruence == "mem")  # equal forms are one object
+    forest = forest_for(mode)  # equal forms are one object
     lhs_nf = normal_form(lhs_t, mode, forest)
     rhs_nf = normal_form(rhs_t, mode, forest)
     if lhs_nf is not rhs_nf:
@@ -195,7 +195,7 @@ def check_sweep_args(k: int, budget: int, three_valued: bool) -> None:
             f"forms; got k={k}, budget={budget}")
 
 
-# The forest of every memorising sweep in the process: its values stay in
+# The MemForest of every memorising sweep in the process: its values stay in
 # the finite mem-basic universe over the sweep alphabet, and its memos are
 # shared across schemas: the k=2 checks of CPmem, EqMSCL, EqMSCL-lI,
 # EqMSCL-lN and U store 34,321 subst entries (3.5 MB) and 5,328 rows with
@@ -204,9 +204,9 @@ def check_sweep_args(k: int, budget: int, three_valued: bool) -> None:
 # peak 1 MB lower (with dict rows 45-65% slower and 14 MB higher).
 # Free values are unbounded; a free sweep runs faster in a fresh forest,
 # dropped on return and rolled back to level marks past _ROLLBACK_NODES
-# (this one never rolls back).  A check keeps its vector conds apart, in a
-# _VectorMemo dropped on return.
-_MEM_FOREST = Forest(mem=True)
+# (a MemForest cannot roll back).  A check keeps its vector conds apart, in
+# a _VectorMemo dropped on return.
+_MEM_FOREST = MemForest()
 
 # A _VectorMemo's bound.  The k=2 checks of the memorising tables store at
 # most 33,336 (mem1).  At k=3 a vector has 16,430 elements and vector conds
@@ -252,7 +252,7 @@ class _VectorMemo(dict):
     that would hold over _MEMO_MAX entries plus interned elements empties
     the memo for good."""
 
-    def __init__(self, forest: Forest):
+    def __init__(self, forest: MemForest):
         self.forest, self.vectors, self.full = forest, {}, False
 
     def intern(self, values: list[int]) -> list[int]:
@@ -301,7 +301,8 @@ def _compile(schema: Schema, var_order: list[str],
 
 
 def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
-    forest = _MEM_FOREST if mode.congruence == "mem" else Forest()
+    mem = mode.congruence == "mem"
+    forest = _MEM_FOREST if mem else Forest()
     variables = list(schema.variables)
     nvars = len(variables)
     alphabet = tuple(_fresh_names(schema, k))
@@ -338,7 +339,7 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
     # The tables that each level clears at each of its digits.
     clear_at: list[list[dict]] = [[] for _ in range(nvars)]
     slots: list = [0] * len(nodes)
-    subst_vector = _VectorMemo(forest) if forest.mem else forest.subst_vector
+    subst_vector = _VectorMemo(forest) if mem else forest.subst_vector
 
     for i, op in enumerate(nodes):
         if op[0] == "const":
@@ -351,7 +352,7 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
             is_vector.append(inner)
             if inner:
                 slots[i] = [domain[d] for d in perms[last]]
-                if forest.mem:
+                if mem:
                     slots[i] = subst_vector.intern(slots[i])
             else:
                 var_sets[op[1]].append(i)
@@ -397,7 +398,7 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
         var_slots = var_sets[j]
         level_conds = conds[j]
         level_tables = clear_at[j]
-        mark = None if forest.mem else forest.mark()
+        mark = None if mem else forest.mark()
         for digit in perms[j]:
             env[j] = digit
             value = domain[digit]

@@ -65,8 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("table", nargs="?")
     p.add_argument("--exhaustive", type=int, metavar="K", default=None,
                    help="also sweep mem-basic forms over K shared atoms")
-    p.add_argument("--budget", type=int, default=axioms.DEFAULT_BUDGET,
-                   help="instantiation cap for the exhaustive sweep")
+    p.add_argument("--budget", type=int, help="instantiation cap for the exhaustive sweep")
     p.add_argument("--three-valued", action="store_true",
                    help="admit U in axiom tables and enumerations")
     return top
@@ -104,7 +103,7 @@ def _cmd_eq(args) -> int:
     if args.expr == args.expr2 == "-":  # the second read would be empty
         raise SclError("eq reads at most one expression from stdin ('-')")
     mode = _mode(args)
-    forest = normalform.Forest(mode.congruence == "mem")
+    forest = congruence.forest_for(mode)
     left = congruence.normal_form(parse(_read_expr(args.expr)), mode, forest)
     right = congruence.normal_form(parse(_read_expr(args.expr2)), mode, forest)
     _emit_tree(left, args)
@@ -156,6 +155,8 @@ def _cmd_munbf(args) -> int:
 
 def _cmd_axioms(args) -> int:
     if args.action == "list":
+        if args.table or args.three_valued or (args.exhaustive, args.budget) != (None, None):
+            raise SclError("axioms list takes no table and no options")
         for table in axioms.builtin_tables():
             kind = "refutable" if table.expect_refuted else "valid"
             mode = table.mode.congruence + ("+U" if table.mode.three_valued else "")
@@ -163,9 +164,14 @@ def _cmd_axioms(args) -> int:
         return 0
     if not args.table:
         raise SclError("axioms check requires a table name")
+    if args.exhaustive is None and args.budget is not None:
+        raise SclError("--budget applies only with --exhaustive")
     table = axioms.table_by_name(args.table)
+    if args.exhaustive is not None and table.expect_refuted:
+        raise SclError(f"{table.name} is refutable: it has no exhaustive sweep")
+    budget = axioms.DEFAULT_BUDGET if args.budget is None else args.budget
     if args.exhaustive is not None:
-        axioms.check_sweep_args(args.exhaustive, args.budget,
+        axioms.check_sweep_args(args.exhaustive, budget,
                                 args.three_valued or table.mode.three_valued)
     want = "refuted" if table.expect_refuted else "passed"
     ok = True
@@ -185,9 +191,9 @@ def _cmd_axioms(args) -> int:
     report(axioms.check_table(table, "fresh_atoms",
                               three_valued=args.three_valued or None),
            "fresh-atoms")
-    if args.exhaustive is not None and not table.expect_refuted:
+    if args.exhaustive is not None:
         report(axioms.check_table(table, "exhaustive", k=args.exhaustive,
-                                  budget=args.budget,
+                                  budget=budget,
                                   three_valued=args.three_valued or None),
                f"exhaustive k={args.exhaustive}")
     return 0 if ok else 1

@@ -13,7 +13,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import OpenTermError, UnboundAtomError
-from .normalform import LEAF_T, LEAF_F, LEAF_U, BasicForm, Forest, Leaf, Node, bf, mbf
+from .normalform import LEAF_T, LEAF_F, LEAF_U, BasicForm, Forest, Leaf, MemForest, Node, bf, mbf
 from .syntax import (
     And, Atom, Cond, Const, Iff, Nand, Nor, Not, Or, Term, Var, Xor,
 )
@@ -48,9 +48,14 @@ def normal_form(term: Term, mode: Mode, forest: Forest | None = None) -> BasicFo
     return mbf(term, forest=forest).tree
 
 
+def forest_for(mode: Mode) -> Forest:
+    """A new forest of the mode's congruence: MemForest or Forest."""
+    return MemForest() if mode.congruence == "mem" else Forest()
+
+
 def equiv(p: Term, q: Term, mode: Mode) -> bool:
     """Decide derivability of p = q in the mode's axiom system."""
-    forest = Forest(mode.congruence == "mem")
+    forest = forest_for(mode)
     return normal_form(p, mode, forest) is normal_form(q, mode, forest)
 
 

@@ -7,11 +7,9 @@ child is the true-branch.  bf() normalizes any closed term to a basic form
 root-to-leaf path (memorising congruence).  These are the basic forms of
 Bergstra and Ponse, "Proposition algebra" (ACM TOCL 12(3), 2011).
 
-Both run on a Forest, a hash-consed DAG of decision nodes; Node objects
-are built only for the result, one per distinct subtree.  A memorising
-forest applies the memorising rule once, in its node constructor, so its
-fold gives mem-basic forms and from_tree in it is mf, and keeps the
-substitutions of vector branches in dense rows indexed by id.
+bf runs on a Forest, a hash-consed DAG of decision nodes, and mbf on a
+MemForest, a Forest whose node constructor applies the memorising rule;
+Node objects are built only for the result, one per distinct subtree.
 """
 
 from __future__ import annotations
@@ -65,27 +63,19 @@ class MemBasicForm:
 
 
 class Forest:
-    """Hash-consed decision DAG with memoized normalization steps: trees
-    are integer ids, the leaves T, F and U are 0, 1 and 2.  A BDD unique
-    table (Bryant, IEEE TC 1986), but nodes are only shared, never merged:
-    T <| a |> T keeps its a.  Per node, a bitmask of the atoms at and below
-    it lets reduce() skip subtrees without its atom.  Forest(mem=True)
-    memorises: node(a, t, f) first reduces t by a = T and f by a = F, so
-    fold, subst and from_tree give mem-basic forms (from_tree is mf).  Both
-    kinds memoise subst in one dict.  A memorising forest also keeps a
-    then-row per (p, r) for vector branches: subst(p, x, r) for each id x,
-    in an array('i') indexed by x, -1 where not filled yet, as wide as the
-    forest when opened and widened in place as it grows (a dense computed
-    table, Brace, Rudell and Bryant, DAC 1990); as x <| p |> y =
-    y <| not p |> x, an else vector reads the then-row of the negated
-    cond, so one row kind serves both branches.  A free forest
-    compiles the cond of subst_vector into a postorder program over the
-    cond's distinct nodes, kept by the cond's ids up to PROGRAMS_MAX at a
-    time, so a repeated cond is rebuilt without walking its DAG again."""
+    """Hash-consed decision DAG with memoized normalization steps, for free
+    congruence: trees are integer ids, the leaves T, F and U are 0, 1 and 2.
+    A BDD unique table (Bryant, IEEE TC 1986), but nodes are only shared,
+    never merged: T <| a |> T keeps its a.  Per node, a bitmask of the atoms
+    at and below it lets reduce() skip subtrees without its atom.  subst is
+    memoised in one dict.  The cond of subst_vector is compiled into a
+    postorder program over the cond's distinct nodes, kept by the cond's ids
+    up to PROGRAMS_MAX at a time, so a repeated cond is rebuilt without
+    walking its DAG again."""
 
     # Bounds the subst memo's entries plus the rows' slots, filled or not,
-    # which in a memorising forest outlive single checks.  A row is opened
-    # or widened only if all its new slots fit; past the bound, results are
+    # which in a MemForest outlive single checks.  A row is opened or
+    # widened only if all its new slots fit; past the bound, results are
     # computed and not stored (the reduce memo underneath keeps that cheap).
     CACHE_MAX = 3_000_000
     # Bounds the compiled programs of subst_vector, cleared when full.  The
@@ -96,9 +86,10 @@ class Forest:
     # EqFSCL 10,802, 10,652 and 10,477 for 17,802.
     PROGRAMS_MAX = 256
     T, F, U = 0, 1, 2
+    FORM = "bf"  # what fold gives, named in its errors
+    _slots = 0  # row slots, which only a MemForest has
 
-    def __init__(self, mem: bool = False):
-        self.mem = mem
+    def __init__(self):
         self._ids: dict[tuple[str, int, int], int] = {}
         self._rev: list[tuple[str, int, int] | None] = [None, None, None]
         self._mask: list[int] = [0, 0, 0]
@@ -106,14 +97,9 @@ class Forest:
         self._trees: dict[int, BasicForm] = {0: LEAF_T, 1: LEAF_F, 2: LEAF_U}
         self._subst: dict[tuple[int, int, int], int] = {}
         self._reduce: dict[tuple[int, str, bool], int] = {}
-        self._rows: dict[tuple[int, int], array] = {}  # memorising forests only
-        self._slots = 0  # row slots; with _subst's entries, at most CACHE_MAX
         self._programs: dict[tuple[int, ...], tuple] = {}  # by _program
 
     def node(self, atom: str, on_true: int, on_false: int) -> int:
-        if self.mem:
-            on_true, on_false = (self.reduce(on_true, atom, True),
-                                 self.reduce(on_false, atom, False))
         key = (atom, on_true, on_false)
         i = self._ids.get(key)
         if i is None:
@@ -130,11 +116,9 @@ class Forest:
         return len(self._rev), len(self._subst), len(self._reduce), len(self._trees)
 
     def rollback(self, mark: tuple[int, int, int, int]) -> None:
-        """Forget the nodes and memo entries made since mark(); free forests
-        only, as rows gain entries in place.  Ids and entries come in order,
-        older entries name only older ids: popping restores it exactly."""
-        if self.mem:
-            raise ValueError("a memorising forest cannot roll back")
+        """Forget the nodes and memo entries made since mark().  Ids and
+        entries come in order, older entries name only older ids: popping
+        restores it exactly."""
         nodes, *memos = mark
         for _ in range(len(self._rev) - nodes):
             self._ids.popitem()
@@ -161,7 +145,7 @@ class Forest:
         return self._trees[i]
 
     def fold(self, core: Term) -> int:
-        """Basic form of a to_core result, mem-basic in a memorising forest,
+        """Basic form of a to_core result, mem-basic in a MemForest,
         threading the pending continuations down as eval_tree does: linear
         on chains.  Memoized on id(subterm): valid while core is kept.  A
         variable raises OpenTermError."""
@@ -178,8 +162,7 @@ class Forest:
             if isinstance(t, Atom):
                 return self.node(t.name, k_true, k_false)
             if isinstance(t, Var):
-                raise OpenTermError(
-                    f"{'mbf' if self.mem else 'bf'} requires a closed term")
+                raise OpenTermError(f"{self.FORM} requires a closed term")
             return k_true if t.value == "T" else k_false if t.value == "F" else self.U
 
         try:
@@ -203,31 +186,15 @@ class Forest:
 
     def subst_vector(self, p, q, r) -> list[int]:
         """subst element by element: arguments that are lists are vectors of
-        one length, the others are broadcast.  A leaf cond is answered
-        directly: T gives the then branch, F the else branch, U a U
-        broadcast.  In a free forest two shapes run a compiled postorder
-        program (_program) and write nothing to the subst memo: a vector
-        cond with scalar branches runs it once over one list of values
-        seeded with q, r and U, and a scalar cond with vector branches runs
-        it step by step over the lists of the distinct (q_i, r_i) pairs.  In
-        a memorising forest a lone vector branch reads one row (_then): a
-        then vector the row of (p, r), an else vector the row of (not p, q).
-        Other shapes go through subst."""
-        vec_q, vec_r = isinstance(q, list), isinstance(r, list)
-        if self.mem and vec_q != vec_r and type(p) is int and p > 2:
-            # a lone vector branch first
-            return (self._then(p, r, q) if vec_q
-                    else self._then(self.subst(p, self.F, self.T), q, r))
-        vec_p = isinstance(p, list)
-        if not (vec_p or vec_q or vec_r):
-            raise ValueError("subst_vector needs a vector argument")
-        if not vec_p and p < 3:  # a leaf cond: no row, no program
-            out = (q, r, self.U)[p]
-            n = len(q if vec_q else r)
-            return list(out) if isinstance(out, list) else [out] * n
-        if self.mem or vec_p and (vec_q or vec_r):
-            return list(map(self.subst, *(a if isinstance(a, list) else repeat(a)
-                                          for a in (p, q, r))))
+        one length, the others are broadcast.  Two shapes run a compiled
+        postorder program (_program) and write nothing to the subst memo: a
+        vector cond with scalar branches runs it once over one list of
+        values seeded with q, r and U, and a scalar cond other than a leaf
+        with vector branches runs it step by step over the lists of the
+        distinct (q_i, r_i) pairs.  Other shapes go through _each."""
+        vec_p, vec_q, vec_r = isinstance(p, list), isinstance(q, list), isinstance(r, list)
+        if vec_p == (vec_q or vec_r) or not vec_p and p < 3:
+            return self._each(p, q, r)
         ids, rev, mask, bits = self._ids, self._rev, self._mask, self._bits
         if vec_p:  # one pass over a flat list of values, slot by slot
             steps, outs = self._program(tuple(p))
@@ -262,6 +229,19 @@ class Forest:
             return columns[out]
         results = dict(zip(pairs, columns[out]))
         return [results[pair] for pair in zip(qs, rs)]
+
+    def _each(self, p, q, r) -> list[int]:
+        """subst_vector through subst element by element; a leaf cond gives
+        the then branch if T, the else branch if F, a U broadcast if U."""
+        vec_p, vec_q = isinstance(p, list), isinstance(q, list)
+        if not (vec_p or vec_q or isinstance(r, list)):
+            raise ValueError("subst_vector needs a vector argument")
+        if not vec_p and p < 3:  # no row, no program
+            out = (q, r, self.U)[p]
+            n = len(q if vec_q else r)
+            return list(out) if isinstance(out, list) else [out] * n
+        return list(map(self.subst, *(a if isinstance(a, list) else repeat(a)
+                                      for a in (p, q, r))))
 
     def _program(self, p: tuple[int, ...]) -> tuple[list, list[int]]:
         """The distinct nodes of the p_i in postorder, as steps (atom, then
@@ -308,6 +288,40 @@ class Forest:
             self._reduce[key] = out
         return out
 
+
+class MemForest(Forest):
+    """A Forest for memorising congruence: node(a, t, f) first reduces t by
+    a = T and f by a = F, so fold, subst and from_tree give mem-basic forms
+    (from_tree is mf).  It also keeps a then-row per (p, r) for vector
+    branches: subst(p, x, r) for each id x, in an array('i') indexed by x,
+    -1 where not filled yet, as wide as the forest when opened and widened
+    in place as it grows (a dense computed table, Brace, Rudell and Bryant,
+    DAC 1990); as x <| p |> y = y <| not p |> x, an else vector reads the
+    then-row of the negated cond, so one row kind serves both branches."""
+
+    FORM = "mbf"
+
+    def __init__(self):
+        super().__init__()
+        self._rows: dict[tuple[int, int], array] = {}
+
+    def node(self, atom: str, on_true: int, on_false: int) -> int:
+        return Forest.node(self, atom, self.reduce(on_true, atom, True),
+                           self.reduce(on_false, atom, False))
+
+    def rollback(self, mark) -> None:  # rows gain entries in place
+        raise ValueError("a memorising forest cannot roll back")
+
+    def subst_vector(self, p, q, r) -> list[int]:
+        """As Forest.subst_vector but with no program, which would bypass
+        node(): a lone vector branch reads one row (_then), a then vector
+        that of (p, r), an else vector that of (not p, q); others _each."""
+        vec_q, vec_r = isinstance(q, list), isinstance(r, list)
+        if vec_q != vec_r and type(p) is int and p > 2:
+            return (self._then(p, r, q) if vec_q
+                    else self._then(self.subst(p, self.F, self.T), q, r))
+        return self._each(p, q, r)
+
     def _then(self, p: int, r: int, xs: list[int]) -> list[int]:
         """subst(p, x, r) for each x of xs, p not a leaf, read from the
         then-row of (p, r).  A missing row is opened, and a row narrower
@@ -350,15 +364,15 @@ def subst_tf(p: BasicForm, q: BasicForm, r: BasicForm) -> BasicForm:
 
 
 def _normalize(term: Term, depth_limit: int, forest: Forest | None,
-               mem: bool) -> BasicForm:
+               kind: type[Forest]) -> BasicForm:
     core = to_core(term, depth_limit)
     # The recursion below is bounded by the depth of the trees built, which
     # can exceed the input depth (though not the input size); give it room.
     if sys.getrecursionlimit() < depth_limit + 2_000:
         sys.setrecursionlimit(depth_limit + 2_000)
     if forest is None:
-        forest = Forest(mem)
-    elif forest.mem != mem:
+        forest = kind()
+    elif type(forest) is not kind:
         raise ValueError("the forest's congruence does not match the call")
     try:
         return forest.to_tree(forest.fold(core))
@@ -372,7 +386,7 @@ def bf(term: Term, depth_limit: int = DEFAULT_DEPTH_LIMIT,
     result shares equal subtrees.  Forms normalized in one forest are equal
     iff they are the same object; by default each call has its own.  A
     passed forest must have the call's congruence, else ValueError."""
-    return _normalize(term, depth_limit, forest, mem=False)
+    return _normalize(term, depth_limit, forest, Forest)
 
 
 def reduce(p: BasicForm, atom: str, assume: bool) -> BasicForm:
@@ -387,16 +401,16 @@ def reduce(p: BasicForm, atom: str, assume: bool) -> BasicForm:
 
 def mf(p: BasicForm) -> BasicForm:
     """Strip repeated atoms below each node, making the tree mem-basic."""
-    f = Forest(mem=True)
+    f = MemForest()
     return f.to_tree(f.from_tree(p))
 
 
 def mbf(term: Term, depth_limit: int = DEFAULT_DEPTH_LIMIT,
-        forest: Forest | None = None) -> MemBasicForm:
+        forest: MemForest | None = None) -> MemBasicForm:
     """Normalize a closed term under memorising congruence: bf's one fold,
-    in a Forest(mem=True), whose node constructor applies the memorising
-    rule once.  Sharing and a passed forest as in bf()."""
-    return MemBasicForm(_normalize(term, depth_limit, forest, mem=True))
+    in a MemForest, whose node constructor applies the memorising rule
+    once.  Sharing and a passed forest as in bf()."""
+    return MemBasicForm(_normalize(term, depth_limit, forest, MemForest))
 
 
 def is_mem_basic(p: BasicForm) -> bool:

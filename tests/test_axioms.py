@@ -10,17 +10,18 @@ from conftest import (
 )
 from sclc import axioms
 from sclc.axioms import (
-    _MEM_FOREST, Schema, Verdict, _exhaustive, _fresh_names, _permutation,
+    Schema, Verdict, _exhaustive, _fresh_names, _permutation,
     builtin_tables, check_schema, check_table, instantiate, table_by_name,
 )
 from sclc.congruence import (
-    FREE, FREE3, MEM, MEM3, equiv, eval_tree, normal_form, trace_eval,
+    FREE, FREE3, MEM, MEM3, equiv, eval_tree, forest_for, normal_form,
+    trace_eval,
 )
 from sclc.errors import (
     MissingBindingError, SignatureError, SweepArgumentError, UnknownTableError,
 )
 from sclc.normalform import (
-    Forest, Node, enumerate_mem_basic, mf, render, subst_tf,
+    Forest, MemForest, Node, enumerate_mem_basic, mf, render, subst_tf,
 )
 from sclc.syntax import (
     And, Atom, Cond, Not, TT, UU, Var, atoms_of, dual, parse, subterms, vars_of,
@@ -124,19 +125,22 @@ class TestExhaustive:
         assert r.count == 5_000
         assert r.budget_exceeded
 
-    def test_memorising_sweep_forest_stays_mem_basic(self):
+    def test_memorising_sweep_forest_stays_mem_basic(self, monkeypatch):
+        f = MemForest()
+        monkeypatch.setattr(axioms, "_MEM_FOREST", f)
         check_schema(table_by_name("CPmem").schemas[1], MEM, "exhaustive",
                      budget=5_000)
-        f = _MEM_FOREST
+        assert len(f) > 3
         for atom, t, e in f._rev[3:]:
             assert not (f._mask[t] | f._mask[e]) & f._bits[atom]
 
-    def test_memorising_sweep_keeps_subst_and_then_rows(self):
+    def test_memorising_sweep_keeps_subst_and_then_rows(self, monkeypatch):
         # Scalar conds go to the subst memo, vector branches to the rows of
         # (cond, else) pairs.
+        f = MemForest()
+        monkeypatch.setattr(axioms, "_MEM_FOREST", f)
         check_schema(table_by_name("EqMSCL-lI").schemas[0], MEM, "exhaustive",
                      budget=5_000)
-        f = _MEM_FOREST
         assert f._subst and f._rows and all(len(key) == 2 for key in f._rows)
         assert f._slots == allocated_slots(f) - len(f._subst)
         assert all(len(row) <= len(f) for row in f._rows.values())
@@ -145,7 +149,7 @@ class TestExhaustive:
         # A row is one slot per id of the forest when it was opened, 75 in
         # the two-valued universe over two atoms, and mem1 fills nearly all
         # of them: 667 rows hold 49,358 entries in 50,025 slots.
-        forest = Forest(mem=True)
+        forest = MemForest()
         monkeypatch.setattr(axioms, "_MEM_FOREST", forest)
         r = check_schema(table_by_name("CPmem").schemas[1], MEM, "exhaustive",
                          budget=50_000)
@@ -171,7 +175,7 @@ class TestExhaustive:
             return [(r.verdict, r.count, r.budget_exceeded, r.witness)
                     for r in out]
 
-        shared = Forest(mem=True)
+        shared = MemForest()
         monkeypatch.setattr(axioms, "_MEM_FOREST", shared)
         for t in tables:
             check_table(t, "exhaustive", budget=5_000)
@@ -183,7 +187,7 @@ class TestExhaustive:
         widened = {key for key, row in before.items() if len(row) > 75}
         assert len(widened) > 10
         assert {len(shared._rows[key]) for key in widened} == {291}
-        monkeypatch.setattr(axioms, "_MEM_FOREST", Forest(mem=True))
+        monkeypatch.setattr(axioms, "_MEM_FOREST", MemForest())
         assert grown == three_valued()
         assert grown[-1][0] is Verdict.REFUTED_EXHAUSTIVE and grown[-1][3]
         # Every entry of a widened row, and every 97th of the others, is mf
@@ -199,7 +203,7 @@ class TestExhaustive:
         runs = []
         for cap in (Forest.CACHE_MAX, 100_000):
             monkeypatch.setattr(Forest, "CACHE_MAX", cap)
-            forest = Forest(mem=True)
+            forest = MemForest()
             monkeypatch.setattr(axioms, "_MEM_FOREST", forest)
             r = check_schema(mem1, MEM, "exhaustive", k=3, budget=20_000)
             runs.append(((r.verdict, r.count, r.budget_exceeded),
@@ -232,12 +236,14 @@ class TestExhaustive:
         assert full == capped == (Verdict.PASSED_EXHAUSTIVE, 405_224)
         assert capped_held <= 2_000 < full_held and capped_last == 0
 
-    def test_free_sweep_leaves_the_memorising_forest_alone(self):
-        before = len(_MEM_FOREST._rev)
+    def test_free_sweep_leaves_the_memorising_forest_alone(self, monkeypatch):
+        f = MemForest()
+        monkeypatch.setattr(axioms, "_MEM_FOREST", f)
+        before = len(f._rev)
         r = check_schema(table_by_name("CP").schemas[3], FREE, "exhaustive",
                          budget=5_000)
         assert r.count == 5_000
-        assert len(_MEM_FOREST._rev) == before
+        assert len(f._rev) == before
 
     @pytest.mark.parametrize("k,budget,three_valued", [
         (-1, 10, False), (2, 0, False), (2, -5, False),
@@ -317,7 +323,7 @@ def _reference_sweep(s, mode, k, budget):
     for digits in itertools.product(*perms):
         count += 1
         sub = {v: domain[d] for v, d in zip(s.variables, digits)}
-        forest = Forest(mode.congruence == "mem")
+        forest = forest_for(mode)
         lhs, rhs = instantiate(s, sub)
         if normal_form(lhs, mode, forest) is not normal_form(rhs, mode, forest):
             return count, False, sub
@@ -439,7 +445,7 @@ class TestSweepReference:
         # Mem under MEM3 at budget 5,000 evaluates 73 vector conds, and the
         # memo computes 38 of them: the reference check above covers reads.
         conds, calls = [], []
-        memo, subst_vector = axioms._VectorMemo.__call__, Forest.subst_vector
+        memo, subst_vector = axioms._VectorMemo.__call__, MemForest.subst_vector
 
         def counted_memo(*args):
             conds.append(None)
@@ -450,7 +456,7 @@ class TestSweepReference:
             return subst_vector(*args)
 
         monkeypatch.setattr(axioms._VectorMemo, "__call__", counted_memo)
-        monkeypatch.setattr(Forest, "subst_vector", counted)
+        monkeypatch.setattr(MemForest, "subst_vector", counted)
         s = schema(*next(c for c in self.SCHEMAS if c[0] == "Mem"))
         assert _exhaustive(s, MEM3, 2, 5_000).count == 5_000
         assert (len(calls), len(conds)) == (38, 73)
@@ -614,17 +620,19 @@ class TestSweepTables:
 
     @staticmethod
     def _subst_vector_calls(monkeypatch, table, name):
+        t = table_by_name(table)
+        s = next(s for s in t.schemas if s.name == name)
+        mode = t.mode_for(s)
+        kind = MemForest if mode.congruence == "mem" else Forest
         calls = []
-        subst_vector = Forest.subst_vector
+        subst_vector = kind.subst_vector
 
         def counted(forest, *args):
             calls.append(None)
             return subst_vector(forest, *args)
 
-        monkeypatch.setattr(Forest, "subst_vector", counted)
-        t = table_by_name(table)
-        s = next(s for s in t.schemas if s.name == name)
-        r = _exhaustive(s, t.mode_for(s), 2, 10 ** 6)
+        monkeypatch.setattr(kind, "subst_vector", counted)
+        r = _exhaustive(s, mode, 2, 10 ** 6)
         assert not r.refuted
         return len(calls)
 

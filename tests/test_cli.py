@@ -172,6 +172,20 @@ class TestAxiomsCommand:
         assert "U: 3 schemas, mem+U, valid" in lines
         assert "negative: 3 schemas, mem, refutable" in lines
 
+    @pytest.mark.parametrize("argv", [
+        ("list", "CP"),
+        ("list", "--exhaustive", "2"),
+        ("list", "--budget", "10"),
+        ("list", "--three-valued"),
+        ("check", "CP", "--budget", "0"),
+        ("check", "CP", "--budget", "1000000"),
+        ("check", "negative", "--exhaustive", "1"),
+    ])
+    def test_an_argument_it_would_ignore_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "axioms", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("sclc: ") and err.count("\n") == 1
+
     def test_unknown_table(self, capsys):
         code, _, err = run(capsys, "axioms", "check", "Nope")
         assert code == 2

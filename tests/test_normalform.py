@@ -13,7 +13,7 @@ from sclc.congruence import TruthValue3, eval_tree, trace_eval
 from sclc.errors import DepthLimitError, InvariantError, OpenTermError
 from sclc.nandform import nand_nf
 from sclc.normalform import (
-    LEAF_F, LEAF_T, LEAF_U, Forest, Leaf, MemBasicForm, Node, bf,
+    LEAF_F, LEAF_T, LEAF_U, Forest, Leaf, MemBasicForm, MemForest, Node, bf,
     enumerate_mem_basic, is_mem_basic, mbf, mf, reduce, render, subst_tf,
     to_json,
 )
@@ -179,11 +179,14 @@ class TestMemorisingForest:
             assert mbf(t).tree == _top_down_mf(bf(t))
 
     def test_forest_must_match_the_congruence(self):
+        # A MemForest is a Forest, but bf refuses it all the same.
         t = parse("a && (b || a)")
         with pytest.raises(ValueError):
-            bf(t, forest=Forest(mem=True))
+            bf(t, forest=MemForest())
         with pytest.raises(ValueError):
             mbf(t, forest=Forest())
+        assert bf(t, forest=Forest()) == bf(t)
+        assert mbf(t, forest=MemForest()) == mbf(t)
 
 
 def _exercise(forest, trees):
@@ -220,48 +223,54 @@ class TestCheckpoint:
         assert _exercise(forest, after) == _exercise(Forest(), after)
 
     def test_memorising_forest_refuses(self):
-        forest = Forest(mem=True)
+        forest = MemForest()
+        forest.from_tree(Q)
         with pytest.raises(ValueError):
             forest.rollback(forest.mark())
+        assert len(forest) == 4
 
 
 class TestSubstVector:
     @pytest.mark.parametrize("undef", [False, True], ids=["two", "three"])
     def test_matches_subst_per_element(self, undef):
-        rng = random.Random(43)
-        forest = Forest()
-        domain = [forest.from_tree(t)
-                  for t in enumerate_mem_basic((a, b), undef)]
-        # Scalars: domain forms and larger free forms that repeat atoms.
-        scalars = domain[::9] + [
-            forest.from_tree(random_basic_form(rng, (a, b, "c"), 5, undef))
-            for _ in range(6)]
-        # The whole domain, a truncated one, and vectors full of repeats.
-        vectors = [domain, domain[:5]] + [
-            [rng.choice(pool) for _ in range(40)]
-            for pool in (domain[:4], scalars[-4:])]
-        assert all(len(set(v)) < len(v) for v in vectors[2:])
+        # Both kinds: a Forest runs programs, a MemForest reads rows.
+        for kind in (Forest, MemForest):
+            rng = random.Random(43)
+            forest = kind()
+            domain = [forest.from_tree(t)
+                      for t in enumerate_mem_basic((a, b), undef)]
+            # Scalars: domain forms and larger forms, which repeat atoms in a
+            # Forest.
+            scalars = domain[::9] + [
+                forest.from_tree(random_basic_form(rng, (a, b, "c"), 5, undef))
+                for _ in range(6)]
+            # The whole domain, a truncated one, and vectors full of repeats.
+            vectors = [domain, domain[:5]] + [
+                [rng.choice(pool) for _ in range(40)]
+                for pool in (domain[:4], scalars[-4:])]
+            assert all(len(set(v)) < len(v) for v in vectors[2:])
 
-        def same_vector(v):
-            return [rng.choice(scalars + domain) for _ in v]
+            def same_vector(v):
+                return [rng.choice(scalars + domain) for _ in v]
 
-        for v in vectors:
-            for s, s1, s2 in zip(scalars, scalars[1:] + scalars[:1],
-                                 scalars[2:] + scalars[:2]):
-                for args in ((v, s1, s2), (s, v, s2), (s, s1, v),
-                             (s, v, same_vector(v))):
-                    n_subst = len(forest._subst)
-                    got = forest.subst_vector(*args)
-                    assert len(forest._subst) == n_subst
-                    assert got == [forest.subst(*(x[i] if isinstance(x, list)
-                                                  else x for x in args))
-                                   for i in range(len(v))]
-            # A vector cond with a vector branch goes through subst.
-            w = same_vector(v)
-            assert forest.subst_vector(v, w, scalars[0]) == [
-                forest.subst(x, y, scalars[0]) for x, y in zip(v, w)]
-        with pytest.raises(ValueError):
-            forest.subst_vector(*scalars[:3])
+            for v in vectors:
+                for s, s1, s2 in zip(scalars, scalars[1:] + scalars[:1],
+                                     scalars[2:] + scalars[:2]):
+                    for args in ((v, s1, s2), (s, v, s2), (s, s1, v),
+                                 (s, v, same_vector(v))):
+                        n_subst = len(forest._subst)
+                        got = forest.subst_vector(*args)
+                        if kind is Forest:  # a MemForest fills rows, and subst
+                            assert len(forest._subst) == n_subst
+                        assert got == [forest.subst(*(x[i] if isinstance(x, list)
+                                                      else x for x in args))
+                                       for i in range(len(v))]
+                # A vector cond with a vector branch goes through subst.
+                w = same_vector(v)
+                assert forest.subst_vector(v, w, scalars[0]) == [
+                    forest.subst(x, y, scalars[0]) for x, y in zip(v, w)]
+            with pytest.raises(ValueError):
+                forest.subst_vector(*scalars[:3])
 
     @staticmethod
     def _per_element(forest, args):
@@ -343,7 +352,7 @@ class TestMemRows:
             assert forest.to_tree(got) == want
 
     def test_rows_agree_with_mf_of_subst_under_a_small_cap(self):
-        forest = Forest(mem=True)
+        forest = MemForest()
         forest.CACHE_MAX = 50  # past it, subst and rows compute without storing
         # Largest first, so that subst stores entries before rows fill the cap.
         forms = enumerate_mem_basic((a, b), three_valued=True)[::23][::-1]
@@ -372,7 +381,7 @@ class TestMemRows:
         # then stores nothing; the row of x's child, past the cap, is never
         # opened.
         for rows_first in (False, True):
-            forest = Forest(mem=True)
+            forest = MemForest()
             x_, child = forest.from_tree(x), forest.from_tree(x.on_true)
             forest.CACHE_MAX = width = len(forest)
             t, u = forest.T, forest.U
@@ -391,7 +400,7 @@ class TestMemRows:
             assert forest._slots == allocated_slots(forest) - len(forest._subst)
 
     def test_a_row_widens_in_place_only_under_the_cap(self):
-        forest = Forest(mem=True)
+        forest = MemForest()
         two = enumerate_mem_basic((a, b))
         small = [forest.from_tree(t) for t in two]
         c_, r_ = small[40], small[7]
@@ -415,7 +424,7 @@ class TestMemRows:
         """A then vector reads the row of its cond and else branch, an else
         vector the then-row of its negated cond; neither goes through subst
         element by element.  A leaf cond opens no row."""
-        forest = Forest(mem=True)
+        forest = MemForest()
         forms = enumerate_mem_basic((a, b), three_valued=True)
         forms = forms[:3] + forms[13::13]  # the leaves T, F and U first
         ids = [forest.from_tree(t) for t in forms]
@@ -439,7 +448,7 @@ class TestMemRows:
 
     def test_an_else_vector_keeps_the_u_leaves_of_its_cond(self):
         # The negated cond must keep each U leaf: x <| U |> y is U.
-        forest = Forest(mem=True)
+        forest = MemForest()
         cond = Node(a, LEAF_U, Node(b, LEAF_T, LEAF_U))
         c_ = forest.from_tree(cond)
         forms = enumerate_mem_basic((a, b), three_valued=True)
@@ -453,7 +462,7 @@ class TestMemRows:
         """A then-row opened before the forest grew, or read at a high id
         first, holds at each x exactly subst(p, x, r); so do the rows of p's
         children that its fill reads."""
-        forest = Forest(mem=True)
+        forest = MemForest()
         small = [forest.from_tree(t) for t in enumerate_mem_basic((a, b), True)]
         grown = forest.from_tree(Node(a, Node(b, LEAF_T, LEAF_U), LEAF_F)), small[40]
         fresh = forest.from_tree(Node(b, LEAF_U, Node(a, LEAF_F, LEAF_T))), small[7]

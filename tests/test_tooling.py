@@ -66,3 +66,62 @@ def test_only_the_forest_the_enumeration_and_eval_tree_build_nodes():
              for name in node_constructors(path.read_text())}
     assert built == {"normalform.Forest.to_tree",
                      "normalform.enumerate_mem_basic", "congruence.eval_tree"}
+
+
+
+def forests_built_on_import(source: str) -> list[str]:
+    """The Forest and MemForest calls that run on import, that is outside
+    every function body, each as the name it is assigned to ("" if none)."""
+    found = []
+    stack = [(node, "") for node in ast.parse(source).body]
+    while stack:
+        node, target = stack.pop()
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            names = node.targets if isinstance(node, ast.Assign) else [node.target]
+            target = names[0].id if len(names) == 1 and isinstance(names[0], ast.Name) else ""
+        func = getattr(node, "func", None)
+        if isinstance(node, ast.Call) and (getattr(func, "id", None) or getattr(
+                func, "attr", None)) in ("Forest", "MemForest"):
+            found.append(target)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args  # defaults and decorators run on import, bodies not
+            children = [*args.defaults, *filter(None, args.kw_defaults),
+                        *getattr(node, "decorator_list", [])]
+        else:
+            children = ast.iter_child_nodes(node)
+        stack += [(child, target) for child in children]
+    return sorted(found)
+
+
+def mem_flag_uses(source: str) -> set[str]:
+    """Each mem= keyword and each attribute named mem, as "line:what"."""
+    return {f"{node.lineno}:mem=" if isinstance(node, ast.keyword)
+            else f"{node.lineno}:.mem"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.keyword) and node.arg == "mem"
+            or isinstance(node, ast.Attribute) and node.attr == "mem"}
+
+
+def test_the_checks_see_import_time_forests_and_the_mem_flag():
+    source = ("import sclc.normalform as nf\n"
+              "A = Forest()\n"
+              "B: Forest = nf.MemForest(); print(Forest())\n"
+              "class K:\n    c = MemForest()\n"
+              "    def m(self, f=Forest()):\n        return MemForest()\n"
+              "def g():\n    return Forest(mem=True)\n"
+              "h = lambda: Forest()\n"
+              "x = y.mem\n")
+    assert forests_built_on_import(source) == ["", "", "A", "B", "c"]
+    assert mem_flag_uses(source) == {"9:mem=", "11:.mem"}
+
+
+def test_no_engine_state_on_import_and_no_mem_flag():
+    # axioms._MEM_FOREST is shared by every memorising sweep in the process:
+    # perfbench's sweep calls check_schema once per schema, and a forest per
+    # check made the memorising checks 58-107% slower.  It goes once the
+    # sweep can be handed a forest by its caller.
+    built = [f"{path.stem}.{name}" for path in MODULES
+             for name in forests_built_on_import(path.read_text())]
+    assert built == ["axioms._MEM_FOREST"]
+    assert {path.name: uses for path in MODULES
+            if (uses := mem_flag_uses(path.read_text()))} == {}
