@@ -8,7 +8,6 @@ is deterministic for a given argv and stdin.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import axioms, congruence, nandform, normalform, translate
@@ -32,12 +31,13 @@ def _normalizing_command(sub, name: str, summary: str, *exprs: str):
 
 
 def _printing_command(sub, name: str, summary: str, primes: bool = True) -> None:
-    """A subcommand that prints one term: --json and, if primes, --primes."""
+    """A subcommand that prints one term: --json or, if primes, --primes."""
     p = sub.add_parser(name, help=summary)
     p.add_argument("expr")
-    p.add_argument("--json", action="store_true", help="JSON output")
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--json", action="store_true", help="JSON output")
     if primes:
-        p.add_argument("--primes", action="store_true", help="abbreviate x ~& T as x'")
+        out.add_argument("--primes", action="store_true", help="abbreviate x ~& T as x'")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,7 +87,7 @@ def _emit_tree(tree, args) -> None:
     if getattr(args, "dot", False):
         print(congruence.to_dot(tree))
     elif args.json:
-        print(json.dumps(normalform.to_json(tree), separators=(", ", ": ")))
+        print(normalform.to_json(tree))
     else:
         print(print_term(render(tree), "unicode"))
 
@@ -146,7 +146,7 @@ def _cmd_transform(args) -> int:
 def _cmd_munbf(args) -> int:
     form = nandform.check_munbf(nandform.nand_nf(parse(_read_expr(args.expr))))
     if args.json:
-        print(json.dumps(nandform.to_json(form), separators=(", ", ": ")))
+        print(nandform.to_json(form))
     else:
         print(print_term(nandform.render_nand(form), "unicode",
                          primes=args.primes))

@@ -11,11 +11,12 @@ from __future__ import annotations
 import enum
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import count
 
 from .errors import OpenTermError, UnboundAtomError
 from .normalform import LEAF_T, LEAF_F, LEAF_U, BasicForm, Forest, Leaf, MemForest, Node, bf, mbf
 from .syntax import (
-    And, Atom, Cond, Const, Iff, Nand, Nor, Not, Or, Term, Var, Xor,
+    And, Atom, Cond, Const, Iff, Nand, Nor, Not, Or, Term, Var, Xor, emit,
 )
 
 
@@ -189,28 +190,25 @@ def eval_tree(term: Term) -> BasicForm:
 
 
 def to_dot(p: BasicForm) -> str:
-    """Graphviz rendering of a decision tree.
+    """Graphviz rendering of a decision tree's DAG.
 
-    Nodes are named by preorder index; true-edges are labelled T and
-    false-edges F; leaves are boxes.
+    One circle per Node object, however many parents it has, and one box
+    per leaf occurrence, named by preorder index; true-edges are labelled T
+    and false-edges F.  One emit, so deep trees need no recursion.
     """
-    lines = ["digraph basicform {"]
-    counter = 0
+    names: dict[int, int] = {}  # id() of a drawn Node -> its index
+    index = count()
 
-    def walk(t: BasicForm) -> int:
-        nonlocal counter
-        me = counter
-        counter += 1
+    def draw(item: tuple) -> tuple:  # a subtree, and the line into it
+        t, into = item  # "{}" in the line stands for t's index
+        if id(t) in names:
+            return (into.format(names[id(t)]),)
+        me = next(index)
         if isinstance(t, Leaf):
-            lines.append(f'  n{me} [label="{t.value}", shape=box];')
-        else:
-            lines.append(f'  n{me} [label="{t.atom}", shape=circle];')
-            left = walk(t.on_true)
-            lines.append(f'  n{me} -> n{left} [label="T"];')
-            right = walk(t.on_false)
-            lines.append(f'  n{me} -> n{right} [label="F"];')
-        return me
+            return f'  n{me} [label="{t.value}", shape=box];\n', into.format(me)
+        names[id(t)] = me
+        return (f'  n{me} [label="{t.atom}", shape=circle];\n',
+                (t.on_true, f'  n{me} -> n{{}} [label="T"];\n'),
+                (t.on_false, f'  n{me} -> n{{}} [label="F"];\n'), into.format(me))
 
-    walk(p)
-    lines.append("}")
-    return "\n".join(lines)
+    return "digraph basicform {\n" + emit((p, ""), draw) + "}"

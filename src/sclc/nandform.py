@@ -17,9 +17,9 @@ from __future__ import annotations
 from functools import partial
 
 from .errors import InvariantError, OpenTermError
-from .normalform import BasicForm, Forest, Leaf, MemBasicForm
-from .normalform import is_mem_basic
-from .syntax import Atom, Const, Nand, Term, TT, rewrite
+from .normalform import BasicForm, Forest, MemBasicForm
+from .normalform import fold_tree, is_mem_basic, tree_json
+from .syntax import Atom, Const, Nand, Term, TT, emit, rewrite
 
 
 is_munbf = is_mem_basic
@@ -78,13 +78,13 @@ def from_munbf(q: BasicForm) -> MemBasicForm:
 
 
 def render_nand(q: BasicForm) -> Term:
-    """Literal expansion into the term language:
+    """Literal expansion into the term language, one term per distinct node:
     Node(a, P, Q) -> (a ~& P) ~& ((a ~& T) ~& Q)."""
-    if isinstance(q, Leaf):
-        return Const(q.value)
-    a = Atom(q.atom)
-    return Nand(Nand(a, render_nand(q.on_true)),
-                Nand(Nand(a, TT), render_nand(q.on_false)))
+    def node(atom: str, on_true: Term, on_false: Term) -> Term:
+        a = Atom(atom)
+        return Nand(Nand(a, on_true), Nand(Nand(a, TT), on_false))
+
+    return fold_tree(q, lambda leaf: Const(leaf.value), node)
 
 
 def check_munbf(p: BasicForm) -> BasicForm:
@@ -94,8 +94,6 @@ def check_munbf(p: BasicForm) -> BasicForm:
     return p
 
 
-def to_json(p: BasicForm):
-    """JSON form: {"leaf": "T"} or {"nnode": a, "t": ..., "f": ...}."""
-    if isinstance(p, Leaf):
-        return {"leaf": p.value}
-    return {"nnode": p.atom, "t": to_json(p.on_true), "f": to_json(p.on_false)}
+def to_json(p: BasicForm) -> str:
+    """JSON text: {"leaf": "T"} or {"nnode": a, "t": ..., "f": ...}."""
+    return emit((p, "nnode"), tree_json)

@@ -21,7 +21,7 @@ from itertools import product, repeat
 from operator import itemgetter
 
 from .errors import DepthLimitError, InvariantError, OpenTermError
-from .syntax import DEFAULT_DEPTH_LIMIT, Atom, Cond, Const, Term, Var
+from .syntax import DEFAULT_DEPTH_LIMIT, Atom, Cond, Const, Term, Var, emit
 from .translate import to_core
 
 
@@ -128,14 +128,8 @@ class Forest:
             for _ in range(len(memo) - n):
                 memo.popitem()
 
-    def from_tree(self, t: BasicForm, seen: dict[int, int] | None = None) -> int:
-        if isinstance(t, Leaf):
-            return "TFU".index(t.value)
-        seen = {} if seen is None else seen  # id() of a Node -> its id here
-        if id(t) not in seen:
-            seen[id(t)] = self.node(t.atom, self.from_tree(t.on_true, seen),
-                                    self.from_tree(t.on_false, seen))
-        return seen[id(t)]
+    def from_tree(self, t: BasicForm) -> int:
+        return fold_tree(t, lambda leaf: "TFU".index(leaf.value), self.node)
 
     def to_tree(self, i: int) -> BasicForm:
         """One Node object per distinct id: equal subtrees are shared."""
@@ -439,18 +433,46 @@ def is_mem_basic(p: BasicForm) -> bool:
         del atoms  # atoms refers to itself; leave no cycle for the collector
 
 
+def fold_tree(p: BasicForm, leaf, node):
+    """Fold a tree bottom-up, once per distinct object: a Leaf l gives
+    leaf(l), a Node node(atom, r_true, r_false) of its branches' results.
+    Postorder, true branch first, over an explicit stack: deep trees need
+    no recursion."""
+    done: dict[int, object] = {}  # id() of a folded object -> its result
+    todo = [p]
+    while todo:
+        t = todo.pop()
+        if id(t) in done:
+            continue
+        if type(t) is Leaf:
+            done[id(t)] = leaf(t)
+        elif id(t.on_true) in done and id(t.on_false) in done:
+            done[id(t)] = node(t.atom, done[id(t.on_true)], done[id(t.on_false)])
+        else:  # back to t once its branches are folded
+            todo += (t, t.on_false, t.on_true)
+    return done[id(p)]
+
+
 def render(p: BasicForm) -> Term:
-    """The injection back into the term language."""
-    if isinstance(p, Leaf):
-        return Const(p.value)
-    return Cond(render(p.on_true), Atom(p.atom), render(p.on_false))
+    """The injection back into the term language, one Cond per distinct node."""
+    return fold_tree(p, lambda leaf: Const(leaf.value),
+                     lambda atom, t, f: Cond(t, Atom(atom), f))
 
 
-def to_json(p: BasicForm):
-    """JSON form: {"leaf": "T"} or {"atom": a, "t": ..., "f": ...}."""
+def tree_json(item: tuple[BasicForm, str]) -> tuple:
+    """emit's pieces for the JSON of a tree, with key naming a node's atom:
+    {"leaf": "T"} or {key: a, "t": ..., "f": ...}, from (tree, key).  Atom
+    names match ATOM_RE, so nothing needs escaping."""
+    p, key = item
     if isinstance(p, Leaf):
-        return {"leaf": p.value}
-    return {"atom": p.atom, "t": to_json(p.on_true), "f": to_json(p.on_false)}
+        return ('{"leaf": "%s"}' % p.value,)
+    return ('{"%s": "%s", "t": ' % (key, p.atom), (p.on_true, key), ', "f": ',
+            (p.on_false, key), "}")
+
+
+def to_json(p: BasicForm) -> str:
+    """JSON text: {"leaf": "T"} or {"atom": a, "t": ..., "f": ...}."""
+    return emit((p, "atom"), tree_json)
 
 
 def enumerate_mem_basic(atoms: tuple[str, ...],

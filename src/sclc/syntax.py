@@ -9,7 +9,6 @@ All values are immutable; operations here are pure functions.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -374,32 +373,52 @@ def parse(text: str) -> Term:
 # Printing
 # ---------------------------------------------------------------------------
 
-def _wrap(part: tuple[str, int], need: int) -> str:
-    # A part that binds looser than its place requires is parenthesized.
-    return f"({part[0]})" if part[1] < need else part[0]
+def emit(root, pieces) -> str:
+    """Write root as text, top-down: an item x is written as pieces(x), a
+    sequence of strings, written as they are, and of items, each written in
+    its place in turn.  One loop over an explicit stack and one join: linear
+    in the output, and deep input needs no recursion."""
+    out: list[str] = []
+    todo = [root]
+    while todo:
+        x = todo.pop()
+        if type(x) is str:
+            out.append(x)
+        else:
+            todo += reversed(pieces(x))
+    return "".join(out)
 
 
-def _leaf_text(t: Term) -> tuple[str, int]:
-    # Leaves, negations and primed terms are never parenthesized.
-    return (t.value if type(t) is Const else t.name), _PREC[Not]
-
-
-def _printer(ops: dict, neg: str, ltri: str, rtri: str, prime: str, primes: bool) -> dict:
-    """print_term's rules for one style: a subterm becomes (text, strength)."""
+def _printer(ops: dict, neg: str, ltri: str, rtri: str, prime: str, primes: bool):
+    """print_term's pieces for one style, of a subterm and the binding
+    strength its place requires: a subterm that binds looser is
+    parenthesized.  It binds as its type does; under primes, Nand(x, T)
+    prints as x' and binds as !x does."""
     p_not, p_iff = _PREC[Not], _PREC[Iff]
+    ops = {kind: f" {op} " for kind, op in ops.items()}
 
-    def binary(op: str, p: int):
-        return lambda x, y: (f"{_wrap(x, p)} {op} {_wrap(y, p + 1)}", p)
+    def arg(t: Term, need: int):  # a leaf's text, else the item that prints t
+        kind = type(t)
+        return (t.value if kind is Const else t.name) if kind in _LEAF_TYPES else (t, need)
 
-    rules = {kind: binary(op, _PREC[kind]) for kind, op in ops.items()}
-    if primes:  # Nand(x, T) becomes x'; only T prints as "T"
-        rules[Nand] = lambda x, y, nand=rules[Nand]: (
-            (_wrap(x, p_not) + prime, p_not) if y[0] == "T" else nand(x, y))
-    rules[Not] = lambda x: (neg + _wrap(x, p_not), p_not)
-    # Parts print at the iff level, so a nested conditional is parenthesized.
-    rules[Cond] = lambda x, y, z: (f"{_wrap(x, p_iff)} {ltri} {_wrap(y, p_iff)}"
-                                   f" {rtri} {_wrap(z, p_iff)}", _PREC[Cond])
-    return rules
+    def pieces(item: tuple[Term, int]) -> tuple:
+        t, need = item
+        kind = type(t)
+        if kind in _LEAF_TYPES:  # the root only
+            return (arg(t, need),)
+        if kind is Not:
+            strength, out = p_not, (neg, arg(t.arg, p_not))
+        elif kind is Cond:  # parts print at the iff level, a conditional in ()
+            strength, out = _PREC[Cond], (arg(t.then, p_iff), f" {ltri} ", arg(t.cond, p_iff),
+                                          f" {rtri} ", arg(t.orelse, p_iff))
+        elif primes and kind is Nand and t.right == TT:
+            strength, out = p_not, (arg(t.left, p_not), prime)
+        else:
+            strength = _PREC[kind]
+            out = (arg(t.left, strength), ops[kind], arg(t.right, strength + 1))
+        return ("(", *out, ")") if strength < need else out
+
+    return pieces
 
 
 # Style -> its binary operators, negation, conditional marks and prime.
@@ -412,14 +431,17 @@ _STYLES = {
 _PRINTERS = {(style, primes): _printer(*marks, primes)
              for style, marks in _STYLES.items() for primes in (False, True)}
 
-# One format string per node type, leaves included.  Names match ATOM_RE or
-# VAR_RE or are T/F/U, so nothing needs escaping.
-_JSON = {kind: fmt.format for kind, fmt in {
-    Const: '{{"const": "{0.value}"}}', Atom: '{{"atom": "{0.name}"}}',
-    Var: '{{"var": "{0.name}"}}', Not: '{{"not": {}}}',
-    Cond: '{{"cond": {{"then": {}, "if": {}, "else": {}}}}}',
-    **{kind: '{{"%s": {{"left": {}, "right": {}}}}}' % kind.__name__.lower()
-       for kind in BINARY_TYPES}}.items()}
+# print_term's JSON pieces by node type, leaves included.  Names match ATOM_RE
+# or VAR_RE or are T/F/U, so nothing needs escaping.
+_JSON = {
+    Const: lambda t: ('{"const": "%s"}' % t.value,),
+    Atom: lambda t: ('{"atom": "%s"}' % t.name,),
+    Var: lambda t: ('{"var": "%s"}' % t.name,),
+    Not: lambda t: ('{"not": ', t.arg, "}"),
+    Cond: lambda t: ('{"cond": {"then": ', t.then, ', "if": ', t.cond,
+                     ', "else": ', t.orelse, "}}"),
+    **{kind: lambda t, head='{"%s": {"left": ' % kind.__name__.lower(): (
+        head, t.left, ', "right": ', t.right, "}}") for kind in BINARY_TYPES}}
 
 
 def print_term(term: Term, style: str = "ascii", primes: bool = False) -> str:
@@ -428,11 +450,11 @@ def print_term(term: Term, style: str = "ascii", primes: bool = False) -> str:
     style "ascii" re-parses to a structurally equal term; "unicode" uses the
     mathematical symbols; "json" produces the nested-object encoding.  With
     primes=True, Nand(t, T) is abbreviated as t' (display only, not parsed).
-    One rewrite, so deep input needs no recursion.
+    One emit, so deep input needs no recursion.
     """
     if style == "json":
-        return rewrite(term, _JSON, lambda t: _JSON[type(t)](t), depth_limit=sys.maxsize)
-    rules = _PRINTERS.get((style, bool(primes)))
-    if rules is None:
+        return emit(term, lambda t: _JSON[type(t)](t))
+    pieces = _PRINTERS.get((style, bool(primes)))
+    if pieces is None:
         raise ValueError(f"unknown print style {style!r}")
-    return rewrite(term, rules, _leaf_text, depth_limit=sys.maxsize)[0]
+    return emit((term, 0), pieces)

@@ -246,6 +246,13 @@ class TestSurface:
         assert out == ""
         assert "unrecognized arguments" in err or "invalid choice" in err
 
+    @pytest.mark.parametrize("command", ["dual", "to-nand", "munbf"])
+    def test_primes_with_json_is_a_usage_error(self, capsys, command):
+        # JSON has no primes: the flag would be ignored.
+        code, out, err = run(capsys, command, "--json", "--primes", "!a")
+        assert (code, out) == (2, "")
+        assert "argument --primes: not allowed with argument --json" in err
+
     def test_options_per_subcommand(self):
         sub = next(a for a in _build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))

@@ -181,7 +181,7 @@ class TestHelpers:
             check_munbf(Node(a, Node(a, LEAF_T, LEAF_F), LEAF_F))
 
     def test_json(self):
-        assert to_json(Node(a, LEAF_T, LEAF_U)) == {
+        assert json.loads(to_json(Node(a, LEAF_T, LEAF_U))) == {
             "nnode": "a", "t": {"leaf": "T"}, "f": {"leaf": "U"}}
 
     def test_render_shape(self):

@@ -9,7 +9,7 @@ from conftest import (
     allocated_slots, all_valuations, fresh_python, random_basic_form,
     random_term, stored_slots, stored_substs,
 )
-from sclc.congruence import TruthValue3, eval_tree, trace_eval
+from sclc.congruence import TruthValue3, eval_tree, to_dot, trace_eval
 from sclc.errors import DepthLimitError, InvariantError, OpenTermError
 from sclc.nandform import nand_nf
 from sclc.normalform import (
@@ -17,7 +17,7 @@ from sclc.normalform import (
     enumerate_mem_basic, is_mem_basic, mbf, mf, reduce, render, subst_tf,
     to_json,
 )
-from sclc.syntax import And, Atom, Iff, Not, Or, Var, Xor, parse
+from sclc.syntax import And, Atom, Cond, Iff, Not, Or, Var, Xor, parse
 from sclc.translate import to_core
 
 a, b = "a", "b"
@@ -187,6 +187,14 @@ class TestMemorisingForest:
             mbf(t, forest=Forest())
         assert bf(t, forest=Forest()) == bf(t)
         assert mbf(t, forest=MemForest()) == mbf(t)
+
+    @pytest.mark.parametrize("kind", [Forest, MemForest])
+    def test_from_tree_adds_nodes_in_postorder(self, kind):
+        # Ids come in postorder, the true branch first.
+        forest = kind()
+        tree = Node(a, Node(b, LEAF_T, LEAF_F), Node("c", LEAF_F, LEAF_U))
+        assert forest.from_tree(tree) == 5
+        assert forest._rev[3:] == [(b, 0, 1), ("c", 1, 2), (a, 3, 4)]
 
 
 def _exercise(forest, trees):
@@ -556,9 +564,48 @@ class TestEnumeration:
 
 class TestJson:
     def test_shapes(self):
-        assert to_json(LEAF_U) == {"leaf": "U"}
-        assert to_json(Node(a, LEAF_T, LEAF_F)) == {
+        assert json.loads(to_json(LEAF_U)) == {"leaf": "U"}
+        assert json.loads(to_json(Node(a, LEAF_T, LEAF_F))) == {
             "atom": "a", "t": {"leaf": "T"}, "f": {"leaf": "F"}}
+
+
+def test_deep_trees_print_without_recursion():
+    done = fresh_python("-c", DEEP_TREE_SCRIPT)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "print_term(render)": True, "render_nand": True, "to_json": True,
+        "nandform.to_json": True, "to_dot": [5_000, 5_001], "from_tree": 5_002,
+        "recursion_limit": 1_000}
+
+
+# The tree printers and from_tree on a comb 5,000 deep, under the default
+# recursion limit, by the output each must give.
+DEEP_TREE_SCRIPT = """
+import json, sys
+from sclc.congruence import to_dot
+from sclc.nandform import render_nand, to_json as nand_json
+from sclc.normalform import LEAF_F, LEAF_T, Forest, Node, render, to_json
+from sclc.syntax import print_term
+n = 5_000
+t = LEAF_T
+for _ in range(n):
+    t = Node("a", t, LEAF_F)
+nand = "a ~& T ~& (a ~& T ~& F)"
+for _ in range(n - 1):
+    nand = "a ~& (" + nand + ") ~& (a ~& T ~& F)"
+dot = to_dot(t)
+print(json.dumps({
+    "print_term(render)": print_term(render(t))
+    == "(" * (n - 1) + "T <| a |> F" + ") <| a |> F" * (n - 1),
+    "render_nand": print_term(render_nand(t)) == nand,
+    "to_json": to_json(t)
+    == '{"atom": "a", "t": ' * n + '{"leaf": "T"}' + ', "f": {"leaf": "F"}}' * n,
+    "nandform.to_json": nand_json(t)
+    == '{"nnode": "a", "t": ' * n + '{"leaf": "T"}' + ', "f": {"leaf": "F"}}' * n,
+    "to_dot": [dot.count("shape=circle"), dot.count("shape=box")],
+    "from_tree": Forest().from_tree(t),
+    "recursion_limit": sys.getrecursionlimit()}))
+"""
 
 
 def _left_chain(op, atoms, n):
@@ -628,6 +675,22 @@ class TestSharedDags:
 
     def test_distinct_chain_free_form_is_shared(self):
         assert _distinct_nodes(bf(_left_chain(Iff, DISTINCT, 200))) <= 4 * 200
+
+    def test_render_and_dot_cost_the_dag(self):
+        # 2 * 16 - 1 distinct nodes against 2^17 - 1 in the expanded tree:
+        # render makes one Cond per distinct node, and to_dot draws one
+        # circle each, and a box per leaf under the two lowest.
+        tree = bf(_left_chain(Iff, DISTINCT, 16))
+        conds, todo = set(), [render(tree)]
+        while todo:
+            t = todo.pop()
+            if isinstance(t, Cond) and id(t) not in conds:
+                conds.add(id(t))
+                todo += (t.then, t.orelse)
+        assert len(conds) == 31
+        dot = to_dot(tree)
+        assert (dot.count("shape=circle"), dot.count("shape=box"),
+                len(dot.splitlines())) == (31, 4, 99)
 
     def test_shared_subtree_checked_under_each_parent(self):
         shared = Node(a, LEAF_T, LEAF_F)

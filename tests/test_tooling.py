@@ -68,6 +68,60 @@ def test_only_the_forest_the_enumeration_and_eval_tree_build_nodes():
                      "normalform.enumerate_mem_basic", "congruence.eval_tree"}
 
 
+def self_recursive(source: str) -> set[str]:
+    """Each function, as Outer.name, that calls itself: by its name, or in a
+    method as self.name."""
+    found = set()
+
+    def calls_itself(func: ast.expr, name: str, method: bool) -> bool:
+        if method:
+            return (isinstance(func, ast.Attribute) and func.attr == name
+                    and getattr(func.value, "id", None) == "self")
+        return getattr(func, "id", None) == name
+
+    def visit(node, where: str, in_class: bool):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, where, in_class)
+                continue
+            name = f"{where}.{child.name}" if where else child.name
+            if isinstance(child, ast.FunctionDef) and any(
+                    calls_itself(call.func, child.name, in_class)
+                    for call in ast.walk(child) if isinstance(call, ast.Call)):
+                found.add(name)
+            visit(child, name, isinstance(child, ast.ClassDef))
+
+    visit(ast.parse(source), "", False)
+    return found
+
+
+def test_the_check_finds_self_recursion():
+    source = ("def f(n):\n    return f(n - 1)\n"
+              "def g():\n    def go(): return go()\n    return h()\n"
+              "class K:\n    def m(self): return self.m()\n"
+              "    def n(self): return K.n(self) + n()\n"
+              "    def p(self):\n        def q(): return p()\n        return self.q()\n")
+    assert self_recursive(source) == {"f", "g.go", "K.m"}
+
+
+def test_only_these_functions_recurse():
+    # What still recurses on the depth of a tree, a term or a sweep level:
+    # the passes left to move onto explicit stacks.  The printers and
+    # from_tree run on syntax.emit and normalform.fold_tree; is_mem_basic
+    # stays off the generic fold, which made it 4-5x slower, and mbf calls
+    # it on every result.
+    found = {f"{path.stem}.{name}" for path in MODULES
+             for name in self_recursive(path.read_text())}
+    assert found == {
+        "normalform.Forest.fold.go", "normalform.Forest.subst",
+        "normalform.Forest.reduce", "normalform.Forest.to_tree",
+        "normalform.MemForest._then", "normalform.is_mem_basic.atoms",
+        "normalform.enumerate_mem_basic.forms", "nandform._combine",
+        "congruence.trace_eval.ev", "congruence.eval_tree.go",
+        "axioms._exhaustive.run_level",
+    }
+
+
 
 def forests_built_on_import(source: str) -> list[str]:
     """The Forest and MemForest calls that run on import, that is outside
