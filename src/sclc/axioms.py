@@ -608,7 +608,7 @@ def table_by_name(name: str) -> SchemaTable:
 
 def check_table(table: SchemaTable, strategy: str = "fresh_atoms", k: int = 2,
                 budget: int = DEFAULT_BUDGET,
-                three_valued: bool | None = None) -> list[tuple[Schema, CheckResult]]:
+                three_valued: bool = False) -> list[tuple[Schema, CheckResult]]:
     """Run check_schema over a whole table.
 
     three_valued=True upgrades the table's mode, admitting U leaves in the

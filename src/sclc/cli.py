@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from . import axioms, congruence, nandform, normalform, translate
 from .congruence import FREE, MEM, Mode
@@ -17,9 +18,10 @@ from .normalform import render
 from .syntax import ATOM_RE, dual, parse, print_term
 
 
-def _normalizing_command(sub, name: str, summary: str, *exprs: str):
+def _normalizing_command(sub, name: str, summary: str, run, *exprs: str):
     """A subcommand that normalizes: --mem/--free and --json."""
     p = sub.add_parser(name, help=summary)
+    p.set_defaults(run=run)
     for expr in exprs:
         p.add_argument(expr)
     mode = p.add_mutually_exclusive_group()
@@ -30,9 +32,10 @@ def _normalizing_command(sub, name: str, summary: str, *exprs: str):
     return out
 
 
-def _printing_command(sub, name: str, summary: str, primes: bool = True) -> None:
+def _printing_command(sub, name: str, summary: str, run, primes: bool = True) -> None:
     """A subcommand that prints one term: --json or, if primes, --primes."""
     p = sub.add_parser(name, help=summary)
+    p.set_defaults(run=run)
     p.add_argument("expr")
     out = p.add_mutually_exclusive_group()
     out.add_argument("--json", action="store_true", help="JSON output")
@@ -45,22 +48,27 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     out = _normalizing_command(sub, "norm", "print the normal form of an expression",
-                               "expr")
+                               _cmd_norm, "expr")
     out.add_argument("--dot", action="store_true", help="Graphviz output")
     _normalizing_command(sub, "eq", "decide equivalence of two expressions",
-                         "expr", "expr2")
-    _printing_command(sub, "dual", "print the dual of an expression")
+                         _cmd_eq, "expr", "expr2")
+    _printing_command(sub, "dual", "print the dual of an expression",
+                      partial(_cmd_transform, dual))
 
     p = sub.add_parser("eval", help="evaluate under a valuation")
+    p.set_defaults(run=_cmd_eval)
     p.add_argument("expr")
     p.add_argument("--val", default="", metavar="a=0,b=1",
                    help="comma-separated atom assignments")
 
-    _printing_command(sub, "to-nand", "encode !,&&,|| into the NAND signature")
-    _printing_command(sub, "from-nand", "decode a NAND term into !,&&", primes=False)
-    _printing_command(sub, "munbf", "NAND-signature normal form")
+    _printing_command(sub, "to-nand", "encode !,&&,|| into the NAND signature",
+                      partial(_cmd_transform, translate.encode_nand))
+    _printing_command(sub, "from-nand", "decode a NAND term into !,&&",
+                      partial(_cmd_transform, translate.decode_nand), primes=False)
+    _printing_command(sub, "munbf", "NAND-signature normal form", _cmd_munbf)
 
     p = sub.add_parser("axioms", help="list or check the builtin axiom tables")
+    p.set_defaults(run=_cmd_axioms)
     p.add_argument("action", choices=["list", "check"])
     p.add_argument("table", nargs="?")
     p.add_argument("--exhaustive", type=int, metavar="K", default=None,
@@ -118,8 +126,7 @@ def _cmd_eval(args) -> int:
     valuation: dict[str, bool] = {}
     if args.val:
         for item in args.val.split(","):
-            name, _, bit = item.partition("=")
-            name = name.strip()
+            name, _, bit = map(str.strip, item.partition("="))
             if bit not in ("0", "1") or not ATOM_RE.match(name):
                 raise SclError(f"bad valuation entry {item!r}; use atom=0|1")
             if name in valuation:
@@ -129,16 +136,8 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-# The printing commands that rewrite one term, by the function they apply.
-_TRANSFORMS = {
-    "dual": dual,
-    "to-nand": translate.encode_nand,
-    "from-nand": translate.decode_nand,
-}
-
-
-def _cmd_transform(args) -> int:
-    term = _TRANSFORMS[args.command](parse(_read_expr(args.expr)))
+def _cmd_transform(transform, args) -> int:
+    term = transform(parse(_read_expr(args.expr)))
     print(print_term(term, _style(args), primes=getattr(args, "primes", False)))
     return 0
 
@@ -188,25 +187,13 @@ def _cmd_axioms(args) -> int:
                 ok = False
                 print(f"  {schema.name}: {r.verdict.value}")
 
-    report(axioms.check_table(table, "fresh_atoms",
-                              three_valued=args.three_valued or None),
+    report(axioms.check_table(table, "fresh_atoms", three_valued=args.three_valued),
            "fresh-atoms")
     if args.exhaustive is not None:
         report(axioms.check_table(table, "exhaustive", k=args.exhaustive,
-                                  budget=budget,
-                                  three_valued=args.three_valued or None),
+                                  budget=budget, three_valued=args.three_valued),
                f"exhaustive k={args.exhaustive}")
     return 0 if ok else 1
-
-
-_COMMANDS = {
-    "norm": _cmd_norm,
-    "eq": _cmd_eq,
-    **dict.fromkeys(_TRANSFORMS, _cmd_transform),
-    "eval": _cmd_eval,
-    "munbf": _cmd_munbf,
-    "axioms": _cmd_axioms,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -216,7 +203,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except InvariantError as exc:
         print(f"sclc: internal error: {exc}", file=sys.stderr)
         return 3

@@ -37,8 +37,9 @@ class OpenTermError(SclError):
 
 class DepthLimitError(SclError):
     """A term rewrite (syntax.rewrite, so to_core, dual, the NAND coding,
-    instantiate, bf, mbf and nand_nf) met input nested deeper than its depth
-    limit, or a normal form grew past the recursion guard."""
+    instantiate, bf, mbf and nand_nf) met input nested deeper than
+    syntax.DEFAULT_DEPTH_LIMIT, the one limit of every layer, or a normal
+    form grew past the recursion guard."""
 
 
 class UnboundAtomError(SclError):

@@ -50,8 +50,8 @@ def _combine(forest: Forest, memo: dict[tuple[int, int], int], p: int,
 
 def nand_nf(term: Term) -> BasicForm:
     """Normalize a closed term over {T, F, U, atoms, ~&}.  One walk of the
-    term over an explicit stack (syntax.rewrite): a term deeper than its
-    depth limit raises DepthLimitError."""
+    term over an explicit stack (syntax.rewrite): a term deeper than
+    DEFAULT_DEPTH_LIMIT raises DepthLimitError."""
     forest = Forest()
     memo: dict[tuple[int, int], int] = {}
 

@@ -357,13 +357,13 @@ def subst_tf(p: BasicForm, q: BasicForm, r: BasicForm) -> BasicForm:
     return f.to_tree(f.subst(f.from_tree(p), f.from_tree(q), f.from_tree(r)))
 
 
-def _normalize(term: Term, depth_limit: int, forest: Forest | None,
-               kind: type[Forest]) -> BasicForm:
-    core = to_core(term, depth_limit)
+def _normalize(term: Term, forest: Forest | None, kind: type[Forest]) -> BasicForm:
+    core = to_core(term)
     # The recursion below is bounded by the depth of the trees built, which
     # can exceed the input depth (though not the input size); give it room.
-    if sys.getrecursionlimit() < depth_limit + 2_000:
-        sys.setrecursionlimit(depth_limit + 2_000)
+    # The library's one change to interpreter state, bounded by a constant.
+    if sys.getrecursionlimit() < DEFAULT_DEPTH_LIMIT + 2_000:
+        sys.setrecursionlimit(DEFAULT_DEPTH_LIMIT + 2_000)
     if forest is None:
         forest = kind()
     elif type(forest) is not kind:
@@ -374,13 +374,13 @@ def _normalize(term: Term, depth_limit: int, forest: Forest | None,
         raise DepthLimitError("normal form grew past the recursion guard") from None
 
 
-def bf(term: Term, depth_limit: int = DEFAULT_DEPTH_LIMIT,
-       forest: Forest | None = None) -> BasicForm:
+def bf(term: Term, forest: Forest | None = None) -> BasicForm:
     """Normalize a closed term to its basic form (free congruence).  The
     result shares equal subtrees.  Forms normalized in one forest are equal
     iff they are the same object; by default each call has its own.  A
-    passed forest must have the call's congruence, else ValueError."""
-    return _normalize(term, depth_limit, forest, Forest)
+    passed forest must have the call's congruence, else ValueError.  A
+    term deeper than DEFAULT_DEPTH_LIMIT raises DepthLimitError."""
+    return _normalize(term, forest, Forest)
 
 
 def reduce(p: BasicForm, atom: str, assume: bool) -> BasicForm:
@@ -399,12 +399,11 @@ def mf(p: BasicForm) -> BasicForm:
     return f.to_tree(f.from_tree(p))
 
 
-def mbf(term: Term, depth_limit: int = DEFAULT_DEPTH_LIMIT,
-        forest: MemForest | None = None) -> MemBasicForm:
+def mbf(term: Term, forest: MemForest | None = None) -> MemBasicForm:
     """Normalize a closed term under memorising congruence: bf's one fold,
     in a MemForest, whose node constructor applies the memorising rule
-    once.  Sharing and a passed forest as in bf()."""
-    return MemBasicForm(_normalize(term, depth_limit, forest, MemForest))
+    once.  Sharing, a passed forest and the depth limit as in bf()."""
+    return MemBasicForm(_normalize(term, forest, MemForest))
 
 
 def is_mem_basic(p: BasicForm) -> bool:

@@ -144,7 +144,8 @@ def vars_of(term: Term) -> list[str]:
 
 
 # Open "(" plus pending "!" that parse accepts, and the term depth that
-# rewrite and the normalizers accept.
+# rewrite, so every term pass and normalizer, accepts.  There is no
+# per-call override.
 DEFAULT_DEPTH_LIMIT = 10_000
 
 # Each node type's arguments, in field order.
@@ -153,14 +154,15 @@ _ARGS = {Cond: attrgetter("then", "cond", "orelse"), Not: lambda t: (t.arg,),
 _LEAF_TYPES = frozenset({Const, Atom, Var})
 
 
-def rewrite(term: Term, rules: dict, leaf=None, refuse: str = "cannot rewrite {}",
-            depth_limit: int = DEFAULT_DEPTH_LIMIT) -> Term:
+def rewrite(term: Term, rules: dict, leaf=None, refuse: str = "cannot rewrite {}") -> Term:
     """Fold a term bottom-up: a node becomes rules[type] applied to its
     arguments' results in field order, and a leaf t becomes leaf(t), or
     stays if leaf is None.  A node type without a rule raises
     UnsupportedConnective(refuse.format(type name)), the outermost first,
-    left to right; a term deeper than depth_limit raises DepthLimitError.
-    One loop over an explicit stack, so deep input needs no recursion."""
+    left to right; a term deeper than DEFAULT_DEPTH_LIMIT raises
+    DepthLimitError.  One loop over an explicit stack, so deep input needs
+    no recursion."""
+    limit = DEFAULT_DEPTH_LIMIT
     done: list[Term] = []  # rewritten subterms, left to right
     todo: list = [term]  # subterms to rewrite, and (rule, arity) to apply
     depth = 0  # the rules pending on todo: the next subterm's depth
@@ -179,8 +181,8 @@ def rewrite(term: Term, rules: dict, leaf=None, refuse: str = "cannot rewrite {}
             rule = rules.get(kind)
             if rule is None:
                 raise UnsupportedConnective(refuse.format(kind.__name__))
-            if depth >= depth_limit:
-                raise DepthLimitError(f"term depth exceeds limit {depth_limit}")
+            if depth >= limit:
+                raise DepthLimitError(f"term depth exceeds limit {limit}")
             depth += 1
             args = _ARGS[kind](t)
             todo.append((rule, len(args)))

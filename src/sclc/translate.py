@@ -8,8 +8,7 @@ application of those equations.  Cond(x, y, z) is x <| y |> z.
 from __future__ import annotations
 
 from .syntax import (
-    DEFAULT_DEPTH_LIMIT, FF, TT, And, Cond, Iff, Nand, Nor, Not, Or, Term, Xor,
-    rewrite,
+    FF, TT, And, Cond, Iff, Nand, Nor, Not, Or, Term, Xor, rewrite,
 )
 
 _CORE = {
@@ -31,12 +30,12 @@ _NAND = {
 }
 
 
-def to_core(term: Term, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> Term:
+def to_core(term: Term) -> Term:
     """Eliminate all derived connectives; the result uses only constants,
     atoms, variables and the conditional.  One walk over an explicit stack:
-    a term deeper than depth_limit raises DepthLimitError, and the operand
-    that <-> and ^^ use twice is one shared object."""
-    return rewrite(term, _CORE, refuse="cannot lower {}", depth_limit=depth_limit)
+    a term deeper than DEFAULT_DEPTH_LIMIT raises DepthLimitError, and the
+    operand that <-> and ^^ use twice is one shared object."""
+    return rewrite(term, _CORE, refuse="cannot lower {}")
 
 
 def encode_nand(term: Term) -> Term:

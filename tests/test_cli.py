@@ -105,6 +105,10 @@ class TestCommands:
         assert code == 2
         assert "b" in err
 
+    @pytest.mark.parametrize("val", ["a = 1", "a=1 ", "a=0 ,b=1"])
+    def test_eval_accepts_blanks_around_an_entry(self, capsys, val):
+        assert run(capsys, "eval", "a || b", "--val", val) == (0, "T\n", "")
+
     @pytest.mark.parametrize("entry", ["=1", "A=1"])
     def test_eval_rejects_a_name_that_is_not_an_atom(self, capsys, entry):
         code, out, err = run(capsys, "eval", "a", "--val", entry)

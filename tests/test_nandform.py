@@ -13,10 +13,20 @@ from sclc.normalform import (
     LEAF_F, LEAF_T, LEAF_U, Node, enumerate_mem_basic, is_mem_basic, mbf,
     reduce, subst_tf,
 )
-from sclc.syntax import Atom, And, Nand, TT, UU, Var, atoms_of, parse
+from sclc.syntax import Atom, And, Nand, FF, TT, UU, Var, atoms_of, parse
 from sclc.translate import decode_nand, to_core
 
 a, b = "a", "b"
+
+
+def small_nand_terms(undef: bool = True) -> list:
+    """Every closed term over a, b, T, F (and U) and ~& with at most three
+    ~&, fewest first: 3,405 terms with U, 1,428 without."""
+    by_nands = [[Atom(a), Atom(b), TT, FF] + [UU] * undef]
+    for n in range(1, 4):
+        by_nands.append([Nand(x, y) for i in range(n)
+                         for x in by_nands[i] for y in by_nands[n - 1 - i]])
+    return [t for terms in by_nands for t in terms]
 
 
 class TestAssume:
@@ -81,11 +91,14 @@ class TestNandNf:
     def test_agrees_with_trace_eval(self, undef):
         # An oracle outside the engine: nand_nf shares reduce with mbf, so
         # the route commutation below would miss a fault in reduce.  Equal
-        # results and first-inspection orders under every valuation.
+        # results and first-inspection orders under every valuation, on
+        # random terms over three atoms and on every small term over two.
         rng = random.Random(23)
-        valuations = all_valuations(["a", "b", "c"])
-        for _ in range(150):
-            t = random_term(rng, max_depth=5, connectives="nand", undef=undef)
+        three, two = all_valuations(["a", "b", "c"]), all_valuations(["a", "b"])
+        cases = [(random_term(rng, max_depth=5, connectives="nand", undef=undef), three)
+                 for _ in range(150)]
+        cases += [(t, two) for t in small_nand_terms(undef)]
+        for t, valuations in cases:
             form = render_nand(nand_nf(t))
             for v in valuations:
                 assert trace_eval(form, v) == trace_eval(t, v)
@@ -135,8 +148,11 @@ class TestBijection:
 class TestRouteCommutation:
     def test_exact_equality(self):
         rng = random.Random(22)
-        for _ in range(300):
-            t = random_term(rng, max_depth=5, connectives="nand", undef=True)
+        small = small_nand_terms()
+        assert len(small) == 3_405
+        randoms = [random_term(rng, max_depth=5, connectives="nand", undef=True)
+                   for _ in range(300)]
+        for t in randoms + small:
             via_cond = to_munbf(mbf(to_core(decode_nand(t))))
             assert nand_nf(t) == via_cond
 

@@ -17,7 +17,9 @@ from sclc.normalform import (
     enumerate_mem_basic, is_mem_basic, mbf, mf, reduce, render, subst_tf,
     to_json,
 )
-from sclc.syntax import And, Atom, Cond, Iff, Not, Or, Var, Xor, parse
+from sclc.syntax import (
+    DEFAULT_DEPTH_LIMIT, And, Atom, Cond, Iff, Not, Or, Var, Xor, parse,
+)
 from sclc.translate import to_core
 
 a, b = "a", "b"
@@ -86,15 +88,15 @@ class TestBf:
 
     def test_depth_guard(self):
         t = Atom("a")
-        for _ in range(200):
+        for _ in range(DEFAULT_DEPTH_LIMIT):
             t = Not(t)
-        # Depth 200 is accepted (the 200 negations cancel), 201 is not.
-        to_core(t, depth_limit=200)
-        assert bf(t, depth_limit=200) == Node(a, LEAF_T, LEAF_F)
-        assert mbf(t, depth_limit=200).tree == Node(a, LEAF_T, LEAF_F)
+        # Depth 10,000 is accepted (the negations cancel), 10,001 is not.
+        to_core(t)
+        assert bf(t) == Node(a, LEAF_T, LEAF_F)
+        assert mbf(t).tree == Node(a, LEAF_T, LEAF_F)
         for walk in (to_core, bf, mbf):
-            with pytest.raises(DepthLimitError, match="^term depth exceeds limit 200$"):
-                walk(Not(t), depth_limit=200)
+            with pytest.raises(DepthLimitError, match="^term depth exceeds limit 10000$"):
+                walk(Not(t))
 
     def test_variable_in_a_shared_operand(self):
         # to_core shares the right operand of <-> and ^^; the fold still
@@ -108,10 +110,10 @@ class TestBf:
     def test_open_and_too_deep_is_a_depth_error(self):
         # The one lowering walk checks depth before the fold meets a variable.
         t = Var("X")
-        for _ in range(201):
+        for _ in range(DEFAULT_DEPTH_LIMIT + 1):
             t = Not(t)
         with pytest.raises(DepthLimitError):
-            bf(t, depth_limit=200)
+            bf(t)
 
     def test_leaves_no_cycle_for_the_collector(self):
         # A reference cycle through the forest would keep every table alive

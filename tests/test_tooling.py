@@ -34,14 +34,16 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def node_constructors(source: str) -> set[str]:
-    """The top-level function, or Class.method, around each Node(...) call;
-    "" for a call at module level."""
-    found = set()
+def calls_named(source: str, name: str) -> list[tuple[str, ast.Call]]:
+    """Each call name(...) or x.name(...), with the top-level function, or
+    Class.method, around it ("" for a call at module level)."""
+    found = []
 
     def visit(node, where: str, in_class: bool):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Node":
-            found.add(where)
+        func = getattr(node, "func", None)
+        if isinstance(node, ast.Call) and name in (getattr(func, "id", None),
+                                                   getattr(func, "attr", None)):
+            found.append((where, node))
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and (not where or in_class):
             where = f"{where}.{node.name}" if where else node.name
             in_class = isinstance(node, ast.ClassDef)
@@ -50,6 +52,12 @@ def node_constructors(source: str) -> set[str]:
 
     visit(ast.parse(source), "", False)
     return found
+
+
+def node_constructors(source: str) -> set[str]:
+    """The top-level function, or Class.method, around each Node(...) call;
+    "" for a call at module level."""
+    return {where for where, _ in calls_named(source, "Node")}
 
 
 def test_the_check_finds_node_constructors():
@@ -179,3 +187,29 @@ def test_no_engine_state_on_import_and_no_mem_flag():
     assert built == ["axioms._MEM_FOREST"]
     assert {path.name: uses for path in MODULES
             if (uses := mem_flag_uses(path.read_text()))} == {}
+
+
+def recursion_limit_calls(source: str) -> list[str]:
+    """Each sys.setrecursionlimit call as "function:argument", the argument
+    as ast.unparse writes it."""
+    return [f"{where}:{', '.join(map(ast.unparse, call.args))}"
+            for where, call in calls_named(source, "setrecursionlimit")]
+
+
+def test_the_check_finds_recursion_limit_calls():
+    source = ("import sys\nfrom sys import setrecursionlimit\n"
+              "sys.setrecursionlimit(10)\n"
+              "def f(n):\n    def g(): setrecursionlimit(LIMIT + 2_000)\n"
+              "    sys.getrecursionlimit()\n"
+              "class K:\n    def m(self): sys.setrecursionlimit(n * 2)\n")
+    assert recursion_limit_calls(source) == [":10", "f:LIMIT + 2000", "K.m:n * 2"]
+
+
+def test_one_bounded_recursion_limit_raise():
+    # The library's one change to interpreter-global state: the normalizers'
+    # recursion room, a constant, never a caller's value.  It goes once the
+    # Forest's passes no longer recurse on the depth of the trees they build.
+    calls = [f"{path.stem}.{call}"
+             for path in sorted(Path(sclc.__file__).parent.glob("*.py"))
+             for call in recursion_limit_calls(path.read_text())]
+    assert calls == ["normalform._normalize:DEFAULT_DEPTH_LIMIT + 2000"]
