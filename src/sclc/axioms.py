@@ -27,7 +27,7 @@ by element; a leaf cond needs no row.  A memorising check keeps its vector
 conds by their arguments' ids, every vector interned (_VectorMemo), so a
 repeated cond is one lookup; the memo goes with the check and empties past
 a fixed bound.  A free sweep runs in a Forest of its own, dropped when the
-check returns, and computes a vector cond by one run of a postorder program
+check returns, and computes a vector cond by one run of a bottom-up program
 compiled from the cond and kept by its ids (Forest.subst_vector); each
 outer loop level marks that forest and rolls back to the mark after a digit
 once the forest has grown past a fixed bound (Forest.rollback), dropping

@@ -21,7 +21,7 @@ from itertools import product, repeat
 from operator import itemgetter
 
 from .errors import DepthLimitError, InvariantError, OpenTermError
-from .syntax import DEFAULT_DEPTH_LIMIT, Atom, Cond, Const, Term, Var, emit
+from .syntax import ATOM_RE, DEFAULT_DEPTH_LIMIT, Atom, Cond, Const, Term, Var, emit
 from .translate import to_core
 
 
@@ -69,8 +69,8 @@ class Forest:
     never merged: T <| a |> T keeps its a.  Per node, a bitmask of the atoms
     at and below it lets reduce() skip subtrees without its atom.  subst is
     memoised in one dict.  The cond of subst_vector is compiled into a
-    postorder program over the cond's distinct nodes, kept by the cond's ids
-    up to PROGRAMS_MAX at a time, so a repeated cond is rebuilt without
+    program over the cond's distinct nodes in id order, kept by the cond's
+    ids up to PROGRAMS_MAX at a time, so a repeated cond is rebuilt without
     walking its DAG again."""
 
     # Bounds the subst memo's entries plus the rows' slots, filled or not,
@@ -133,31 +133,49 @@ class Forest:
 
     def to_tree(self, i: int) -> BasicForm:
         """One Node object per distinct id: equal subtrees are shared."""
-        if i not in self._trees:
-            atom, t, f = self._rev[i]
-            self._trees[i] = Node(atom, self.to_tree(t), self.to_tree(f))
-        return self._trees[i]
+        trees, rev = self._trees, self._rev
+        for x in self._below((i,), trees):
+            atom, t, f = rev[x]
+            trees[x] = Node(atom, trees[t], trees[f])
+        return trees[i]
+
+    def _below(self, roots: tuple[int, ...], known: dict) -> list[int]:
+        """The ids at and under roots that are not keys of known, which
+        holds the leaves, in increasing order: a bottom-up order, because
+        node(), MemForest.node and the unique table inlined in subst_vector
+        each hand out an id only after both branch ids exist."""
+        rev, seen, todo = self._rev, set(), list(roots)
+        while todo:
+            x = todo.pop()
+            if x not in seen and x not in known:
+                seen.add(x)
+                _, t, f = rev[x]
+                todo += (t, f)
+        return sorted(seen)
 
     def fold(self, core: Term) -> int:
-        """Basic form of a to_core result, mem-basic in a MemForest,
-        threading the pending continuations down as eval_tree does: linear
-        on chains.  Memoized on id(subterm): valid while core is kept.  A
-        variable raises OpenTermError."""
+        """Basic form of a to_core result, mem-basic in a MemForest, threading
+        the pending continuations down as eval_tree does: linear on chains, and
+        a cond is a tail call.  Memoized on id(subterm): valid while core is
+        kept.  A variable raises OpenTermError."""
         memo: dict[tuple[int, int, int], int] = {}
 
         def go(t: Term, k_true: int, k_false: int) -> int:
-            if isinstance(t, Cond):
-                key = (id(t), k_true, k_false)
-                out = memo.get(key)
-                if out is None:
-                    out = memo[key] = go(t.cond, go(t.then, k_true, k_false),
-                                         go(t.orelse, k_true, k_false))
-                return out
-            if isinstance(t, Atom):
-                return self.node(t.name, k_true, k_false)
-            if isinstance(t, Var):
-                raise OpenTermError(f"{self.FORM} requires a closed term")
-            return k_true if t.value == "T" else k_false if t.value == "F" else self.U
+            if type(t) is not Cond:
+                if type(t) is Atom:
+                    return self.node(t.name, k_true, k_false)
+                if type(t) is Var:
+                    raise OpenTermError(f"{self.FORM} requires a closed term")
+                return k_true if t.value == "T" else k_false if t.value == "F" else self.U
+            passed = []  # the keys of the conds taken in the loop: all give out
+            while type(t) is Cond and (key := (id(t), k_true, k_false)) not in memo:
+                passed.append(key)
+                k_true, k_false = go(t.then, k_true, k_false), go(t.orelse, k_true, k_false)
+                t = t.cond
+            out = memo[key] if type(t) is Cond else go(t, k_true, k_false)
+            for key in passed:
+                memo[key] = out
+            return out
 
         try:
             return go(core, self.T, self.F)
@@ -181,11 +199,11 @@ class Forest:
     def subst_vector(self, p, q, r) -> list[int]:
         """subst element by element: arguments that are lists are vectors of
         one length, the others are broadcast.  Two shapes run a compiled
-        postorder program (_program) and write nothing to the subst memo: a
-        vector cond with scalar branches runs it once over one list of
-        values seeded with q, r and U, and a scalar cond other than a leaf
-        with vector branches runs it step by step over the lists of the
-        distinct (q_i, r_i) pairs.  Other shapes go through _each."""
+        program (_program) and write nothing to the subst memo: a vector
+        cond with scalar branches runs it once over one list of values
+        seeded with q, r and U, and a scalar cond other than a leaf with
+        vector branches runs it step by step over the lists of the distinct
+        (q_i, r_i) pairs.  Other shapes go through _each."""
         vec_p, vec_q, vec_r = isinstance(p, list), isinstance(q, list), isinstance(r, list)
         if vec_p == (vec_q or vec_r) or not vec_p and p < 3:
             return self._each(p, q, r)
@@ -238,32 +256,21 @@ class Forest:
                                       for a in (p, q, r))))
 
     def _program(self, p: tuple[int, ...]) -> tuple[list, list[int]]:
-        """The distinct nodes of the p_i in postorder, as steps (atom, then
-        slot, else slot), and the slot of each p_i.  Slots 0, 1 and 2 hold
-        the values of the leaves T, F and U, slot 3 + s the value of step s.
-        Kept by p, at most PROGRAMS_MAX at a time; rollback() drops them
-        all, as the ids they name may be handed out again."""
+        """The distinct nodes of the p_i in id order (_below), as steps
+        (atom, then slot, else slot), and the slot of each p_i.  Slots 0, 1
+        and 2 hold the values of the leaves T, F and U, slot 3 + s the value
+        of step s.  Kept by p, at most PROGRAMS_MAX at a time; rollback()
+        drops them all, as the ids they name may be handed out again."""
         program = self._programs.get(p)
         if program is None:
             if len(self._programs) >= self.PROGRAMS_MAX:
                 self._programs.clear()
-            rev = self._rev
             slots = {self.T: 0, self.F: 1, self.U: 2}
             steps: list[tuple[str, int, int]] = []
-            for root in p:
-                stack = [root]
-                while stack:
-                    x = stack[-1]
-                    if x in slots:
-                        stack.pop()
-                        continue
-                    atom, t, f = rev[x]
-                    if t in slots and f in slots:
-                        stack.pop()
-                        slots[x] = 3 + len(steps)
-                        steps.append((atom, slots[t], slots[f]))
-                    else:  # the then side on top: its nodes are built first
-                        stack += [y for y in (f, t) if y not in slots]
+            for x in self._below(p, slots):
+                atom, t, f = self._rev[x]
+                slots[x] = 3 + len(steps)
+                steps.append((atom, slots[t], slots[f]))
             program = self._programs[p] = steps, [slots[x] for x in p]
         return program
 
@@ -409,27 +416,14 @@ def mbf(term: Term, forest: MemForest | None = None) -> MemBasicForm:
 def is_mem_basic(p: BasicForm) -> bool:
     """True iff no node's atom occurs below it, i.e. no root-to-leaf path
     inspects an atom twice.  Linear in the distinct nodes of p."""
-    below: dict[int, int] = {}  # id() of a checked node -> atoms at and below it
     bits: dict[str, int] = {}
 
-    def atoms(t: BasicForm, path: int) -> int:
-        # -1 if not mem-basic; ending at a repeat on the path bounds the depth.
-        if isinstance(t, Leaf):
-            return 0
-        if id(t) not in below:
-            bit = bits.setdefault(t.atom, 1 << len(bits))
-            if path & bit:
-                return -1
-            lo, hi = atoms(t.on_true, path | bit), atoms(t.on_false, path | bit)
-            if lo < 0 or hi < 0 or (lo | hi) & bit:
-                return -1
-            below[id(t)] = lo | hi | bit
-        return below[id(t)]
+    def node(atom: str, lo: int, hi: int) -> int:
+        # The atoms at and below as a bitmask; -1, a repeat, has every bit set.
+        bit = bits.setdefault(atom, 1 << len(bits))
+        return -1 if (lo | hi) & bit else lo | hi | bit
 
-    try:
-        return atoms(p, 0) >= 0
-    finally:
-        del atoms  # atoms refers to itself; leave no cycle for the collector
+    return fold_tree(p, lambda leaf: 0, node) >= 0
 
 
 def fold_tree(p: BasicForm, leaf, node):
@@ -479,8 +473,12 @@ def enumerate_mem_basic(atoms: tuple[str, ...],
     """All mem-basic forms over the given alphabet, in a fixed order.
 
     Counts follow c(0) = |leaves| and c(k) = |leaves| + k * c(k-1)^2, so
-    2 atoms give 74 two-valued forms and 291 three-valued ones.
+    2 atoms give 74 two-valued forms and 291 three-valued ones.  A name
+    that is no atom name, or that repeats, raises ValueError.
     """
+    atoms = tuple(atoms)
+    if len(set(atoms)) < len(atoms) or not all(map(ATOM_RE.match, atoms)):
+        raise ValueError(f"bad or repeated atom name in {atoms!r}")
     leaves: list[BasicForm] = [LEAF_T, LEAF_F] + ([LEAF_U] if three_valued else [])
 
     def forms(alphabet: tuple[str, ...]) -> list[BasicForm]:
@@ -492,6 +490,6 @@ def enumerate_mem_basic(atoms: tuple[str, ...],
         return out
 
     try:
-        return forms(tuple(atoms))
+        return forms(atoms)
     finally:
         del forms  # forms refers to itself; leave no cycle for the collector

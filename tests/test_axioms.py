@@ -18,7 +18,8 @@ from sclc.congruence import (
     trace_eval,
 )
 from sclc.errors import (
-    MissingBindingError, SignatureError, SweepArgumentError, UnknownTableError,
+    MissingBindingError, OpenTermError, SignatureError, SweepArgumentError,
+    UnknownTableError,
 )
 from sclc.normalform import (
     Forest, MemForest, Node, enumerate_mem_basic, mf, render, subst_tf,
@@ -53,6 +54,12 @@ class TestInstantiate:
         s = schema("CP1", "X <| T |> Y", "X")
         with pytest.raises(MissingBindingError, match="^no binding for variable Y$"):
             instantiate(s, {"X": a})
+
+    def test_open_image(self):
+        s = schema("CP1", "X <| T |> Y", "X")
+        with pytest.raises(OpenTermError,
+                           match="^substitution image for Y is open$"):
+            instantiate(s, {"X": a, "Y": Cond(a, X, b)})
 
 
 class TestCheckSchema:
@@ -131,7 +138,8 @@ class TestExhaustive:
         check_schema(table_by_name("CPmem").schemas[1], MEM, "exhaustive",
                      budget=5_000)
         assert len(f) > 3
-        for atom, t, e in f._rev[3:]:
+        for i, (atom, t, e) in enumerate(f._rev[3:], 3):
+            assert t < i and e < i  # Forest._below relies on it
             assert not (f._mask[t] | f._mask[e]) & f._bits[atom]
 
     def test_memorising_sweep_keeps_subst_and_then_rows(self, monkeypatch):

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import fresh_python, terms
-from sclc import nandform
+from sclc import axioms, nandform
+from sclc.axioms import CheckResult, Verdict
 from sclc.congruence import FREE, MEM, equiv, evaluate, normal_form
 from sclc.cli import _build_parser, main
 from sclc.errors import SclError
-from sclc.normalform import render
+from sclc.normalform import LEAF_F, LEAF_T, Node, render
 from sclc.syntax import dual, print_term
 from sclc.translate import decode_nand, encode_nand
 
@@ -195,6 +196,27 @@ class TestAxiomsCommand:
         assert code == 2
         assert err == "sclc: no builtin table named 'Nope'\n"
 
+    def test_check_needs_a_table(self, capsys):
+        code, out, err = run(capsys, "axioms", "check")
+        assert (code, out, err) == (
+            2, "", "sclc: axioms check requires a table name\n")
+
+    def test_a_result_against_the_table_exits_one(self, capsys, monkeypatch):
+        # The only exit 1 of axioms: a schema whose verdict is not the one
+        # its table expects is listed under the count.
+        table = axioms.table_by_name("EqMSCL")
+
+        def refuted(table, strategy, **options):
+            return [(s, CheckResult(Verdict.REFUTED_FRESH_ATOMS))
+                    for s in table.schemas[:2]]
+
+        monkeypatch.setattr("sclc.axioms.check_table", refuted)
+        code, out, err = run(capsys, "axioms", "check", "EqMSCL")
+        assert (code, err) == (1, "")
+        assert out == "".join(
+            ["0/2 passed (fresh-atoms)\n"]
+            + [f"  {s.name}: refuted (fresh-atoms)\n" for s in table.schemas[:2]])
+
     def test_a_key_error_is_not_a_usage_error(self, capsys, monkeypatch):
         # Only a typed SclError reads as a usage error; a KeyError is a
         # defect, reported in one line with exit 3.
@@ -309,6 +331,15 @@ class TestErrors:
         code, _, err = run(capsys, "norm", "a")
         assert code == 3
         assert err.count("\n") == 1 and "MemoryError" in err
+
+    def test_an_invariant_error_exits_three(self, capsys, monkeypatch):
+        # A defect that breaks a form's invariant is reported, with no
+        # output, as an internal error.
+        broken = Node("a", Node("a", LEAF_T, LEAF_F), LEAF_F)
+        monkeypatch.setattr("sclc.nandform.nand_nf", lambda term: broken)
+        code, out, err = run(capsys, "munbf", "a")
+        assert (code, out, err) == (3, "", "sclc: internal error: tree "
+                                    "violates the NAND normal form invariant\n")
 
     def test_determinism(self, capsys):
         first = run(capsys, "norm", "a <-> b || c")

@@ -119,6 +119,35 @@ class TestNandNf:
         assert json.loads(done.stdout) == {
             "nnode": "a", "t": {"leaf": "T"}, "f": {"leaf": on_false}}
 
+    def test_distinct_atoms_nested_to_the_right(self):
+        # The form is a chain one node per atom deep.  munbf leaves the
+        # recursion limit as it was; the mbf of the check then raises it.
+        done = fresh_python("-c", MUNBF_SCRIPT)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [0, "", 1_000, True]
+
+
+# sclc munbf on a0 ~& (a1 ~& (... (b ~& c))) over 3,000 distinct atoms, in a
+# fresh interpreter, against the text of mbf's form of the decoded term.
+MUNBF_SCRIPT = r"""
+import contextlib, io, json, sys
+from sclc.cli import main
+from sclc.nandform import render_nand, to_munbf
+from sclc.normalform import mbf
+from sclc.syntax import parse, print_term
+from sclc.translate import decode_nand, to_core
+text = "b ~& c"
+for i in reversed(range(3_000)):
+    text = f"a{i} ~& ({text})"
+with contextlib.redirect_stdout(io.StringIO()) as out, \
+        contextlib.redirect_stderr(io.StringIO()) as err:
+    code = main(["munbf", text])
+limit = sys.getrecursionlimit()
+form = to_munbf(mbf(to_core(decode_nand(parse(text)))))
+want = print_term(render_nand(form), "unicode") + "\n"
+print(json.dumps([code, err.getvalue(), limit, out.getvalue() == want]))
+"""
+
 
 class TestBijection:
     def test_leaves(self):

@@ -115,6 +115,38 @@ class TestBf:
         with pytest.raises(DepthLimitError):
             bf(t)
 
+    def test_right_nested_connectives_fold_one_frame_per_level(self):
+        # to_core puts the right operand of ~&, ~| and ^^ under the cond of
+        # a branch; the fold takes a cond as a tail call.
+        done = fresh_python("-c", RIGHT_NESTED_SCRIPT)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {
+            "Nand": ["a0", "a0"], "Nor": ["a0", "a0"], "Xor": ["a0", "a0"],
+            "mbf is nand_nf": True}
+
+    def test_balanced_conjunction_over_many_atoms(self):
+        # A term 15 levels deep whose forms are chains 16,384 nodes deep.
+        n = 16_384
+        level = [Atom(f"x{i}") for i in range(n)]
+        while len(level) > 1:
+            level = [And(x, y) for x, y in zip(level[::2], level[1::2])]
+        t = level[0]
+        for form in (bf(t), mbf(t).tree, mbf(And(Atom("x0"), t)).tree):
+            for i in range(n):
+                assert (form.atom, form.on_false) == (f"x{i}", LEAF_F)
+                form = form.on_true
+            assert form is LEAF_T
+
+    def test_ids_come_after_their_branches(self):
+        # Forest._below reads increasing ids as a bottom-up order.
+        rng = random.Random(11)
+        forest = Forest()
+        for _ in range(200):
+            bf(random_term(rng, max_depth=5, undef=True), forest)
+        assert len(forest) > 3
+        for i, (_, t, e) in enumerate(forest._rev[3:], 3):
+            assert t < i and e < i
+
     def test_leaves_no_cycle_for_the_collector(self):
         # A reference cycle through the forest would keep every table alive
         # until the cycle collector runs.
@@ -563,6 +595,14 @@ class TestEnumeration:
         forms = enumerate_mem_basic(("x", "y", "z"))
         assert len(forms) == counted(3, 2) == 16430
 
+    @pytest.mark.parametrize("atoms", [("a", "a"), ("a", "b", "a"), ("A",),
+                                       ("a", "")])
+    def test_refuses_a_repeated_or_bad_name(self, atoms):
+        # ("a", "a") gave 74 forms, some not mem-basic; "A" built Nodes
+        # with a name that Atom refuses.
+        with pytest.raises(ValueError, match="^bad or repeated atom name"):
+            enumerate_mem_basic(atoms)
+
 
 class TestJson:
     def test_shapes(self):
@@ -577,21 +617,33 @@ def test_deep_trees_print_without_recursion():
     assert json.loads(done.stdout) == {
         "print_term(render)": True, "render_nand": True, "to_json": True,
         "nandform.to_json": True, "to_dot": [5_000, 5_001], "from_tree": 5_002,
+        "to_tree": 5_000, "is_mem_basic": [True, False],
         "recursion_limit": 1_000}
 
 
-# The tree printers and from_tree on a comb 5,000 deep, under the default
-# recursion limit, by the output each must give.
+# The tree printers, from_tree, to_tree and is_mem_basic on combs 5,000
+# deep, under the default recursion limit, by the output each must give.
 DEEP_TREE_SCRIPT = """
 import json, sys
 from sclc.congruence import to_dot
 from sclc.nandform import render_nand, to_json as nand_json
-from sclc.normalform import LEAF_F, LEAF_T, Forest, Node, render, to_json
+from sclc.normalform import (
+    LEAF_F, LEAF_T, Forest, Node, is_mem_basic, render, to_json)
 from sclc.syntax import print_term
 n = 5_000
-t = LEAF_T
-for _ in range(n):
-    t = Node("a", t, LEAF_F)
+t, distinct = LEAF_T, LEAF_T
+for i in range(n):
+    t, distinct = Node("a", t, LEAF_F), Node(f"a{i}", distinct, LEAF_F)
+
+
+def comb_depth(p):  # the a-nodes above T if p is a comb like t, else -1
+    depth = 0
+    while type(p) is Node and (p.atom, p.on_false) == ("a", LEAF_F):
+        p, depth = p.on_true, depth + 1
+    return depth if p is LEAF_T else -1
+
+
+f = Forest()
 nand = "a ~& T ~& (a ~& T ~& F)"
 for _ in range(n - 1):
     nand = "a ~& (" + nand + ") ~& (a ~& T ~& F)"
@@ -605,8 +657,32 @@ print(json.dumps({
     "nandform.to_json": nand_json(t)
     == '{"nnode": "a", "t": ' * n + '{"leaf": "T"}' + ', "f": {"leaf": "F"}}' * n,
     "to_dot": [dot.count("shape=circle"), dot.count("shape=box")],
-    "from_tree": Forest().from_tree(t),
+    "from_tree": f.from_tree(t),
+    "to_tree": comb_depth(f.to_tree(f.from_tree(t))),
+    "is_mem_basic": [is_mem_basic(distinct), is_mem_basic(t)],
     "recursion_limit": sys.getrecursionlimit()}))
+"""
+
+
+# bf and mbf on chains nested to the right, 9,999 levels, in a fresh
+# interpreter; for ~&, mbf and nand_nf must give one form, compared as ids
+# in one forest (== on Nodes recurses).
+RIGHT_NESTED_SCRIPT = """
+import json
+from sclc.nandform import nand_nf
+from sclc.normalform import MemForest, bf, mbf
+from sclc.syntax import Atom, Nand, Nor, Xor
+out = {}
+for op in (Nand, Nor, Xor):
+    t = Atom("a9999")
+    for i in reversed(range(9_999)):
+        t = op(Atom(f"a{i}"), t)
+    free, mem = bf(t), mbf(t).tree
+    out[op.__name__] = [free.atom, mem.atom]
+    if op is Nand:
+        f = MemForest()
+        out["mbf is nand_nf"] = f.from_tree(mem) == f.from_tree(nand_nf(t))
+print(json.dumps(out))
 """
 
 
