@@ -3,21 +3,18 @@
 A NAND normal form is a mem-basic decision tree read in the NAND
 signature: Node(a, P, Q) stands for (a ~& P) ~& (a' ~& Q) with a occurring
 in neither P nor Q, where a' abbreviates a ~& T.  nand_nf normalizes any
-closed NAND term to such a tree by structural induction on ~&,
-independently of to_core and mbf: it builds in a free Forest of its own,
-with the paper's steps as Forest operations (priming q is subst(q, F, T),
-assuming an atom's value is reduce).  to_munbf and from_munbf are the
-paper's bijections f and g, which only relabel nodes, so here they unwrap
-and wrap a MemBasicForm.  render_nand spells a tree out in the NAND
-signature.
+closed NAND term to such a tree by structural induction on ~&, never
+through to_core or fold: p ~& q is a substitution in a MemForest of its
+own, whose node rule does the paper's assume step (reduce), so every node
+it makes is mem-basic.  to_munbf and from_munbf are the paper's
+bijections f and g, which only relabel nodes, so here they unwrap and wrap
+a MemBasicForm.  render_nand spells a tree out in the NAND signature.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 from .errors import InvariantError, OpenTermError
-from .normalform import BasicForm, Forest, MemBasicForm
+from .normalform import BasicForm, MemBasicForm, MemForest
 from .normalform import fold_tree, is_mem_basic, tree_json
 from .syntax import Atom, Const, Nand, Term, TT, emit, rewrite
 
@@ -25,35 +22,17 @@ from .syntax import Atom, Const, Nand, Term, TT, emit, rewrite
 is_munbf = is_mem_basic
 
 
-def _combine(forest: Forest, memo: dict[tuple[int, int], int], p: int,
-             q: int) -> int:
-    """Normal form of (p ~& q) for normal forms p and q, ids in forest.
-
-    T ~& q primes q (swaps its T and F leaves); F ~& q is T; U ~& q is U.
-    For a node, push q into both branches and drop the re-introduced root
-    atom, whose value is known on each side.  Recursion is bounded by the
-    depth of p, a mem-basic form: at most its number of distinct atoms.
-    """
-    if p == forest.T:
-        return forest.subst(q, forest.F, forest.T)
-    if p < 3:
-        return forest.T if p == forest.F else forest.U
-    out = memo.get((p, q))
-    if out is None:
-        atom, t, f = forest._rev[p]
-        out = memo[p, q] = forest.node(
-            atom,
-            forest.reduce(_combine(forest, memo, t, q), atom, True),
-            forest.reduce(_combine(forest, memo, f, q), atom, False))
-    return out
-
-
 def nand_nf(term: Term) -> BasicForm:
-    """Normalize a closed term over {T, F, U, atoms, ~&}.  One walk of the
-    term over an explicit stack (syntax.rewrite): a term deeper than
+    """Normalize a closed term over {T, F, U, atoms, ~&}.  p ~& q is
+    q' <| p |> T with q' the prime of q (its T and F leaves swapped), the
+    defining equation of ~&: a subst in a MemForest, which recurses only on
+    the depth of the mem-basic forms it combines.  One walk of the term
+    over an explicit stack (syntax.rewrite): a term deeper than
     DEFAULT_DEPTH_LIMIT raises DepthLimitError."""
-    forest = Forest()
-    memo: dict[tuple[int, int], int] = {}
+    forest = MemForest()
+
+    def nand(p: int, q: int) -> int:
+        return forest.subst(p, forest.subst(q, forest.F, forest.T), forest.T)
 
     def leaf(t: Term) -> int:
         if isinstance(t, Const):
@@ -62,7 +41,7 @@ def nand_nf(term: Term) -> BasicForm:
             return forest.node(t.name, forest.T, forest.F)
         raise OpenTermError("nand_nf requires a closed term")
 
-    top = rewrite(term, {Nand: partial(_combine, forest, memo)}, leaf,
+    top = rewrite(term, {Nand: nand}, leaf,
                   refuse="{} is outside the NAND signature")
     return forest.to_tree(top)
 

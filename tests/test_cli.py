@@ -408,28 +408,38 @@ def _line(term):
     return print_term(term, "unicode") + "\n"
 
 
+def _follows_the_library(t, u):
+    """Every command's exit code and output on t (and u) is the library's
+    answer, and no exception escapes main."""
+    text, text2 = print_term(t), print_term(u)
+    for flag, mode in (("--mem", MEM), ("--free", FREE)):
+        want = _library(lambda: _line(render(normal_form(t, mode))))
+        assert _capture("norm", flag, text)[:2] == want
+        failed, equal = _library(lambda: equiv(t, u, mode))
+        code, _, err = _capture("eq", flag, text, text2)
+        assert code == (failed or (0 if equal else 1)), err
+    expected = {
+        "dual": lambda: _line(dual(t)),
+        "to-nand": lambda: _line(encode_nand(t)),
+        "from-nand": lambda: _line(decode_nand(t)),
+        "munbf": lambda: _line(nandform.render_nand(nandform.nand_nf(t))),
+        "eval": lambda: f"{evaluate(t, {'a': True, 'b': False, 'c': True}).value}\n",
+    }
+    for command, fn in expected.items():
+        extra = ("--val", "a=1,b=0,c=1") if command == "eval" else ()
+        code, out, err = _capture(command, text, *extra)
+        assert code in (0, 1, 2, 3) and "Traceback" not in err
+        assert (code, out) == _library(fn), err
+
+
 class TestContract:
-    # Every command's exit code on closed terms is the library's answer,
-    # and no exception escapes main.
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(terms(with_vars=False), terms(with_vars=False))
     def test_exit_codes_follow_the_library(self, t, u):
-        text, text2 = print_term(t), print_term(u)
-        for flag, mode in (("--mem", MEM), ("--free", FREE)):
-            want = _library(lambda: _line(render(normal_form(t, mode))))
-            assert _capture("norm", flag, text)[:2] == want
-            failed, equal = _library(lambda: equiv(t, u, mode))
-            code, _, err = _capture("eq", flag, text, text2)
-            assert code == (failed or (0 if equal else 1)), err
-        expected = {
-            "dual": lambda: _line(dual(t)),
-            "to-nand": lambda: _line(encode_nand(t)),
-            "from-nand": lambda: _line(decode_nand(t)),
-            "munbf": lambda: _line(nandform.render_nand(nandform.nand_nf(t))),
-            "eval": lambda: f"{evaluate(t, {'a': True, 'b': False, 'c': True}).value}\n",
-        }
-        for command, fn in expected.items():
-            extra = ("--val", "a=1,b=0,c=1") if command == "eval" else ()
-            code, out, err = _capture(command, text, *extra)
-            assert code in (0, 1, 2, 3) and "Traceback" not in err
-            assert (code, out) == _library(fn), err
+        _follows_the_library(t, u)
+
+    # Open terms take the OpenTermError paths of norm, eq, eval and munbf.
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(terms(with_vars=True), terms(with_vars=True))
+    def test_exit_codes_follow_the_library_on_open_terms(self, t, u):
+        _follows_the_library(t, u)

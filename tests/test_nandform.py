@@ -13,20 +13,27 @@ from sclc.normalform import (
     LEAF_F, LEAF_T, LEAF_U, Node, enumerate_mem_basic, is_mem_basic, mbf,
     reduce, subst_tf,
 )
-from sclc.syntax import Atom, And, Nand, FF, TT, UU, Var, atoms_of, parse
-from sclc.translate import decode_nand, to_core
+from sclc.syntax import Atom, And, Nand, Not, Or, FF, TT, UU, Var, atoms_of, parse
+from sclc.translate import decode_nand, encode_nand, to_core
 
 a, b = "a", "b"
+
+
+def small_terms(leaves: list, unary: tuple, binary: tuple, most: int) -> list:
+    """Every term over leaves and the unary and binary connectives with at
+    most `most` connectives, fewest first."""
+    by_size = [leaves]
+    for n in range(1, most + 1):
+        by_size.append([op(x) for op in unary for x in by_size[n - 1]]
+                       + [op(x, y) for op in binary for i in range(n)
+                          for x in by_size[i] for y in by_size[n - 1 - i]])
+    return [t for terms in by_size for t in terms]
 
 
 def small_nand_terms(undef: bool = True) -> list:
     """Every closed term over a, b, T, F (and U) and ~& with at most three
     ~&, fewest first: 3,405 terms with U, 1,428 without."""
-    by_nands = [[Atom(a), Atom(b), TT, FF] + [UU] * undef]
-    for n in range(1, 4):
-        by_nands.append([Nand(x, y) for i in range(n)
-                         for x in by_nands[i] for y in by_nands[n - 1 - i]])
-    return [t for terms in by_nands for t in terms]
+    return small_terms([Atom(a), Atom(b), TT, FF] + [UU] * undef, (), (Nand,), 3)
 
 
 class TestAssume:
@@ -89,10 +96,11 @@ class TestNandNf:
 
     @pytest.mark.parametrize("undef", [False, True], ids=["two-valued", "with-U"])
     def test_agrees_with_trace_eval(self, undef):
-        # An oracle outside the engine: nand_nf shares reduce with mbf, so
-        # the route commutation below would miss a fault in reduce.  Equal
-        # results and first-inspection orders under every valuation, on
-        # random terms over three atoms and on every small term over two.
+        # An oracle outside the engine: nand_nf shares MemForest.node and
+        # reduce with mbf, so the route commutations below would miss a
+        # fault there.  Equal results and first-inspection orders under
+        # every valuation, on random terms over three atoms and on every
+        # small term over two.
         rng = random.Random(23)
         three, two = all_valuations(["a", "b", "c"]), all_valuations(["a", "b"])
         cases = [(random_term(rng, max_depth=5, connectives="nand", undef=undef), three)
@@ -184,6 +192,17 @@ class TestRouteCommutation:
         for t in randoms + small:
             via_cond = to_munbf(mbf(to_core(decode_nand(t))))
             assert nand_nf(t) == via_cond
+
+    def test_from_the_scl_side(self):
+        # The other direction: an SCL term coded into NAND and normalized
+        # there gives the NAND reading of its mem-basic form.
+        rng = random.Random(24)
+        small = small_terms([Atom(a), Atom(b), TT, FF, UU], (Not,), (And, Or), 2)
+        assert len(small) == 1_215
+        randoms = [random_term(rng, max_depth=5, connectives="scl", undef=True)
+                   for _ in range(300)]
+        for t in randoms + small:
+            assert nand_nf(encode_nand(t)) == to_munbf(mbf(t))
 
 
 class TestSemanticIdentities:

@@ -126,11 +126,46 @@ def test_only_these_functions_recurse():
     assert found == {
         "normalform.Forest.fold.go", "normalform.Forest.subst",
         "normalform.Forest.reduce", "normalform.MemForest._then",
-        "normalform.enumerate_mem_basic.forms", "nandform._combine",
+        "normalform.enumerate_mem_basic.forms",
         "congruence.trace_eval.ev", "congruence.eval_tree.go",
         "axioms._exhaustive.run_level",
     }
 
+
+def private_accesses(source: str) -> list[str]:
+    """Each attribute x._name, one leading underscore and no dunder, whose
+    object is not self, read or written, as "function: x._name" (ast.unparse
+    of the attribute; "" at module level), in source order."""
+    found = []
+
+    def visit(node, where: str):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+                and getattr(node.value, "id", None) != "self"):
+            found.append(f"{where}: {ast.unparse(node)}")
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_the_check_finds_private_accesses():
+    source = ("import m\nx = m._hidden\n"
+              "class K:\n    def m(self, f):\n"
+              "        return self._own, f._rev[0], f.__dict__, f.public\n"
+              "def g(f):\n    f.a._b = 1\n")
+    assert private_accesses(source) == [": m._hidden", "K.m: f._rev", "g: f.a._b"]
+
+
+def test_a_forests_internals_stay_in_normalform():
+    # Only an object's own methods touch its underscored state: the other
+    # modules go through Forest's public operations.
+    found = [f"{path.stem}.{use}" for path in MODULES
+             for use in private_accesses(path.read_text())]
+    assert found == []
 
 
 def forests_built_on_import(source: str) -> list[str]:
