@@ -20,19 +20,20 @@ computed by subst_vector, and the innermost level only compares the two
 sides' vectors.  Memorising sweeps share one MemForest, where every value
 is one of finitely many mem-basic forms.  It memoises subst as a Forest
 does, and keeps a row per (cond, else) pair, an array of subst indexed by
-the then argument's id: a then vector reads the row of its cond and else
-branch, an else vector the row of its negated cond and then branch, and a
-vector cond or a cond with two vector arguments goes through subst element
-by element; a leaf cond needs no row.  A memorising check keeps its vector
-conds by their arguments' ids, every vector interned (_VectorMemo), so a
-repeated cond is one lookup; the memo goes with the check and empties past
-a fixed bound.  A free sweep runs in a Forest of its own, dropped when the
-check returns, and computes a vector cond by one run of a bottom-up program
-compiled from the cond and kept by its ids (Forest.subst_vector); each
-outer loop level marks that forest and rolls back to the mark after a digit
-once the forest has grown past a fixed bound (Forest.rollback), dropping
-the entries of the tables of that level and the ones inside it that name a
-node past the mark.
+the then argument's id, filled whole (U's slot on its first read) when
+opened or widened, from the rows of the cond's children: a then vector
+reads the row of its cond and else branch, an else vector the row of its
+negated cond and then branch, and a vector cond or a cond with two vector
+arguments goes through subst element by element; a leaf cond needs no row.
+A memorising check keeps its vector conds by their arguments' ids, every
+vector interned (_VectorMemo), so a repeated cond is one lookup; the memo
+goes with the check and empties past a fixed bound.  A free sweep runs in
+a Forest of its own, dropped when the check returns, and computes a vector
+cond by one run of a bottom-up program compiled from the cond and kept by
+its ids (Forest.subst_vector); each outer loop level marks that forest and
+rolls back to the mark after a digit once the forest has grown past a
+fixed bound (Forest.rollback), dropping the entries of the tables of that
+level and the ones inside it that name a node past the mark.
 """
 
 from __future__ import annotations
@@ -198,10 +199,11 @@ def check_sweep_args(k: int, budget: int, three_valued: bool) -> None:
 # The MemForest of every memorising sweep in the process: its values stay in
 # the finite mem-basic universe over the sweep alphabet, and its memos are
 # shared across schemas: the k=2 checks of CPmem, EqMSCL, EqMSCL-lI,
-# EqMSCL-lN and U store 34,321 subst entries (3.5 MB) and 5,328 rows with
-# 394,272 entries in 399,600 slots (2.5 MB; 12.6 MB as dicts), keys
-# included.  A forest per check made these checks 58-107% slower and their
-# peak 1 MB lower (with dict rows 45-65% slower and 14 MB higher).
+# EqMSCL-lN and U store 34,321 subst entries (3.5 MB), 5,328 rows with
+# 394,272 entries in 399,600 slots, all filled but U's (2.5 MB; 12.6 MB as
+# dicts), keys included, and four reduce lists of 75 ids.  A forest per
+# check made these checks 58-107% slower and their peak 1 MB lower (with
+# dict rows 45-65% slower and 14 MB higher).
 # Free values are unbounded; a free sweep runs faster in a fresh forest,
 # dropped on return and rolled back to level marks past _ROLLBACK_NODES
 # (a MemForest cannot roll back).  A check keeps its vector conds apart, in

@@ -73,10 +73,13 @@ class Forest:
     ids up to PROGRAMS_MAX at a time, so a repeated cond is rebuilt without
     walking its DAG again."""
 
-    # Bounds the subst memo's entries plus the rows' slots, filled or not,
-    # which in a MemForest outlive single checks.  A row is opened or
-    # widened only if all its new slots fit; past the bound, results are
-    # computed and not stored (the reduce memo underneath keeps that cheap).
+    # Bounds the subst memo's entries plus a MemForest's row slots, filled
+    # or not, and reduce lists, which outlive single checks.  A row is
+    # opened or widened only if its new slots and the reduce lists its fill
+    # widens all fit; past the bound, results are computed and not stored
+    # (the reduce memo underneath keeps that cheap).  CPmem at k=2, two-
+    # and then three-valued, takes 2.48 M; the catalogue of valid tables
+    # (tools/catalogue.py) reaches the bound in EqMSCL-consequences.
     CACHE_MAX = 3_000_000
     # Bounds the compiled programs of subst_vector, cleared when full.  The
     # seven sweep tables at k=2 in one process peak at 30.9-31.0 MB RSS at
@@ -87,7 +90,7 @@ class Forest:
     PROGRAMS_MAX = 256
     T, F, U = 0, 1, 2
     FORM = "bf"  # what fold gives, named in its errors
-    _slots = 0  # row slots, which only a MemForest has
+    _slots = 0  # row and reduce-list slots, which only a MemForest has
 
     def __init__(self):
         self._ids: dict[tuple[str, int, int], int] = {}
@@ -295,16 +298,22 @@ class MemForest(Forest):
     a = T and f by a = F, so fold, subst and from_tree give mem-basic forms
     (from_tree is mf).  It also keeps a then-row per (p, r) for vector
     branches: subst(p, x, r) for each id x, in an array('i') indexed by x,
-    -1 where not filled yet, as wide as the forest when opened and widened
-    in place as it grows (a dense computed table, Brace, Rudell and Bryant,
-    DAC 1990); as x <| p |> y = y <| not p |> x, an else vector reads the
-    then-row of the negated cond, so one row kind serves both branches."""
+    as wide as the forest when opened and widened in place as it grows (a
+    dense computed table, Brace, Rudell and Bryant, DAC 1990).  A row's new
+    slots are filled whole (_row), all but the slot of U, which holds -1
+    until its first read: filled up front, it would build U-forms in a
+    two-valued check.  As x <| p |> y = y <| not p |> x, an else vector
+    reads the then-row of the negated cond, so one row kind serves both
+    branches."""
 
     FORM = "mbf"
 
     def __init__(self):
         super().__init__()
         self._rows: dict[tuple[int, int], array] = {}
+        # reduce(x, atom, assume) for each id x, by (atom, assume): the two
+        # reductions of node() for a whole row at once.
+        self._reduced: dict[tuple[str, bool], list[int]] = {}
 
     def node(self, atom: str, on_true: int, on_false: int) -> int:
         return Forest.node(self, atom, self.reduce(on_true, atom, True),
@@ -325,33 +334,74 @@ class MemForest(Forest):
 
     def _then(self, p: int, r: int, xs: list[int]) -> list[int]:
         """subst(p, x, r) for each x of xs, p not a leaf, read from the
-        then-row of (p, r).  A missing row is opened, and a row narrower
-        than an x is widened in place, to the forest's width; if its new
-        slots do not fit under CACHE_MAX, subst computes each x instead.
-        Unfilled xs are filled once each, down p's children in their rows
-        with the same r, each child row read once for all of them."""
-        row, n = self._rows.get((p, r)), len(self._rev)
-        if row is None or len(row) < n and max(xs, default=0) >= len(row):
-            new = n - (0 if row is None else len(row))  # slots to allocate
-            if len(self._subst) + self._slots + new > self.CACHE_MAX:
-                return [self.subst(p, x, r) for x in xs]
-            self._slots += new
+        then-row of (p, r), which _row opens, or widens when an x is past
+        its width; if it does not fit under CACHE_MAX, subst computes each
+        x instead.  The slot of U is filled on its first read, bottom-up in
+        the rows of (x, r) for each x under p, which p's fill opened."""
+        row = self._rows.get((p, r))
+        if row is None or len(row) < len(self._rev) and max(xs, default=0) >= len(row):
+            row = self._row(p, r, len(self._rev))
             if row is None:
-                row = self._rows[p, r] = array("i", [-1]) * new
-            else:
-                row.extend(repeat(-1, new))
+                return [self.subst(p, x, r) for x in xs]
         read = (itemgetter(*xs) if len(xs) > 1  # of one x it gives no tuple
                 else lambda row: [row[x] for x in xs])
         out = list(read(row))
         if -1 in out:
-            miss = [x for x in dict.fromkeys(xs) if row[x] < 0]
-            atom, t, e = self._rev[p]
-            ts, es = (self._then(c, r, miss) if c > 2 else miss if c == 0
-                      else repeat((r, self.U)[c - 1]) for c in (t, e))
-            for x, a, b in zip(miss, ts, es):
-                row[x] = self.node(atom, a, b)
+            rows, U = self._rows, self.U
+            for x in self._below((p,), dict.fromkeys((self.T, self.F, U))):
+                atom, t, e = self._rev[x]
+                if rows[x, r][U] < 0:
+                    rows[x, r][U] = self.node(atom, *(
+                        rows[c, r][U] if c > 2 else (U, r, U)[c] for c in (t, e)))
             out = list(read(row))
         return out
+
+    def _row(self, p: int, r: int, width: int) -> array | None:
+        """The then-row of (p, r), p not a leaf, at least width slots wide,
+        or None if its new slots and reduce lists do not fit under
+        CACHE_MAX.  A missing row is opened, and a narrower one widened in
+        place, to the forest's width n, its new slots filled in one pass
+        from the rows of p's children with the same r, at least n wide: the
+        slot of x is node(atom, t_x, e_x) for the children's slots t_x and
+        e_x (a leaf child gives x, r or U), through the reduce lists and one
+        unique-table lookup each.  The recursion is as deep as p's atoms
+        are many: mem-basic paths never repeat one."""
+        row = self._rows.get((p, r))
+        if row is not None and len(row) >= width:
+            return row
+        n, lo = len(self._rev), 0 if row is None else len(row)
+        new = n - lo  # the row's new slots; the reduce lists' come later
+        if len(self._subst) + self._slots + new > self.CACHE_MAX:
+            return None  # before the children: past the cap, a miss is cheap
+        atom, t, e = self._rev[p]
+        kids = [c if c < 3 else self._row(c, r, n) for c in (t, e)]
+        if kids[0] is None or kids[1] is None:
+            return None
+        # The children's slots, r and U are ids below m: a reduce list
+        # that long covers them.
+        m, assumes = len(self._rev), (True, False)
+        reds = [self._reduced.setdefault((atom, b), []) for b in assumes]
+        new += sum(m - len(red) for red in reds)
+        if len(self._subst) + self._slots + new > self.CACHE_MAX:
+            return None
+        self._slots += new
+        for b, red in zip(assumes, reds):
+            red += map(self.reduce, range(len(red), m), repeat(atom), repeat(b))
+        xs = range(lo, n) if lo else [0, 1, *range(3, n)]  # not U's slot
+        ts, es = (map(kid.__getitem__, xs) if type(kid) is array else xs if kid == self.T
+                  else repeat(r if kid == self.F else self.U, len(xs)) for kid in kids)
+        keys = list(zip(repeat(atom), map(reds[0].__getitem__, ts),
+                        map(reds[1].__getitem__, es)))
+        slots = list(map(self._ids.get, keys))
+        if None in slots:  # node() for the misses, its reductions done
+            slots = [Forest.node(self, *key) if i is None else i
+                     for i, key in zip(slots, keys)]
+        if lo:
+            row.extend(slots)
+        else:
+            slots.insert(self.U, -1)
+            row = self._rows[p, r] = array("i", slots)
+        return row
 
 
 def subst_tf(p: BasicForm, q: BasicForm, r: BasicForm) -> BasicForm:

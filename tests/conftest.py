@@ -100,9 +100,10 @@ def stored_slots(forest) -> int:
 
 
 def allocated_slots(forest) -> int:
-    """Slots a forest's subst memo and rows take, a row's unfilled ones
-    included, which CACHE_MAX bounds together."""
-    return len(forest._subst) + sum(map(len, forest._rows.values()))
+    """Slots a forest's subst memo, rows and reduce lists take, a row's
+    unfilled ones included, which CACHE_MAX bounds together."""
+    return len(forest._subst) + sum(map(len, forest._rows.values())) + sum(
+        map(len, getattr(forest, "_reduced", {}).values()))
 
 
 def stored_substs(forest):

@@ -155,8 +155,10 @@ class TestExhaustive:
 
     def test_rows_of_a_memorising_check_by_count(self, monkeypatch):
         # A row is one slot per id of the forest when it was opened, 75 in
-        # the two-valued universe over two atoms, and mem1 fills nearly all
-        # of them: 667 rows hold 49,358 entries in 50,025 slots.
+        # the two-valued universe over two atoms, filled whole but for the
+        # slot of U: 667 rows hold 49,358 entries in 50,025 slots.  The
+        # fills widen four reduce lists, one per atom and assumption, 75
+        # ids each.
         forest = MemForest()
         monkeypatch.setattr(axioms, "_MEM_FOREST", forest)
         r = check_schema(table_by_name("CPmem").schemas[1], MEM, "exhaustive",
@@ -165,8 +167,21 @@ class TestExhaustive:
         rows, substs = forest._rows.values(), len(forest._subst)
         assert len(forest) == 75 and len(rows) == 667
         assert stored_slots(forest) - substs == 49_358
-        assert allocated_slots(forest) - substs == forest._slots == 667 * 75
+        assert allocated_slots(forest) - substs == forest._slots == 667 * 75 + 4 * 75
         assert all(len(row) <= len(forest) for row in rows)
+
+    def test_a_two_valued_sweep_builds_no_u_form(self, monkeypatch):
+        # Rows are filled whole but for the slot of U, which only a read of
+        # U fills: the two-valued checks never leave the 74 forms and U.
+        forest = MemForest()
+        monkeypatch.setattr(axioms, "_MEM_FOREST", forest)
+        for name in ("CPmem", "EqMSCL", "EqMSCL-lI", "EqMSCL-lN"):
+            assert not any(r.refuted for _, r in check_table(
+                table_by_name(name), "exhaustive", budget=5_000))
+        assert len(forest) == 75
+        assert all(v >= 0 for row in forest._rows.values()
+                   for x, v in enumerate(row) if x != forest.U)
+        assert all(row[forest.U] == -1 for row in forest._rows.values())
 
     def test_rows_widen_from_two_to_three_valued_checks(self, monkeypatch):
         """Two-valued checks open rows 75 ids wide; a three-valued check in

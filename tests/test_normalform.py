@@ -395,7 +395,10 @@ class TestMemRows:
 
     def test_rows_agree_with_mf_of_subst_under_a_small_cap(self):
         forest = MemForest()
-        forest.CACHE_MAX = 50  # past it, subst and rows compute without storing
+        # Past the cap, subst and rows compute without storing.  A row's
+        # first fill also widens two reduce lists as long as the forest
+        # (29 ids here, then over 200), so a cap of 50 fits no row.
+        forest.CACHE_MAX = 150
         # Largest first, so that subst stores entries before rows fill the cap.
         forms = enumerate_mem_basic((a, b), three_valued=True)[::23][::-1]
         ids = {id(t): forest.from_tree(t) for t in forms}
@@ -407,10 +410,11 @@ class TestMemRows:
                         *forest.subst_vector(c_, [t_], e_),
                         *forest.subst_vector(c_, t_, [e_])):
                 assert forest.to_tree(got) == want
-        # One cap bounds the subst memo and the rows' slots together.
+        # One cap bounds the subst memo, the rows' slots and the reduce
+        # lists together.
         assert forest._slots == allocated_slots(forest) - len(forest._subst)
         assert 0 < len(forest._subst) < stored_slots(forest)
-        assert stored_slots(forest) <= allocated_slots(forest) <= 50
+        assert stored_slots(forest) <= allocated_slots(forest) <= 150
         rows = forest._rows.values()
         assert rows and all(max(row) >= 0 for row in rows)  # no empty rows kept
         self._all_stored_agree(forest)
@@ -418,14 +422,17 @@ class TestMemRows:
     def test_a_row_past_the_cap_takes_no_slot(self):
         x = Node(a, Node(b, LEAF_F, LEAF_T), LEAF_U)
         want = mf(subst_tf(x, LEAF_T, LEAF_U))
-        # The cap fits one row as wide as the forest, or the subst entries
-        # for x and its child.  Either memo fills it alone and the other
-        # then stores nothing; the row of x's child, past the cap, is never
-        # opened.
+        # The fill of x's row opens its child's row first and widens the
+        # reduce lists of both atoms: the room this takes is the cap.  With
+        # it, either memo fits alone; after subst's two entries, x's row no
+        # longer fits and is never opened.
+        uncapped = MemForest()
+        uncapped.subst_vector(uncapped.from_tree(x), [uncapped.T], uncapped.U)
+        room = allocated_slots(uncapped)
         for rows_first in (False, True):
             forest = MemForest()
             x_, child = forest.from_tree(x), forest.from_tree(x.on_true)
-            forest.CACHE_MAX = width = len(forest)
+            forest.CACHE_MAX = room
             t, u = forest.T, forest.U
             reads = [lambda: forest.subst(x_, t, u),
                      lambda: forest.subst_vector(x_, [t], u)[0]]
@@ -433,12 +440,12 @@ class TestMemRows:
                 assert forest.to_tree(read()) == want
             if rows_first:
                 assert not forest._subst
-                assert list(forest._rows) == [(x_, u)]
-                assert allocated_slots(forest) == width
+                assert list(forest._rows) == [(child, u), (x_, u)]
+                assert allocated_slots(forest) == room
             else:
-                assert not forest._rows
                 assert list(forest._subst) == [(child, t, u), (x_, t, u)]
-                assert allocated_slots(forest) == 2
+                assert (x_, u) not in forest._rows
+                assert allocated_slots(forest) <= room
             assert forest._slots == allocated_slots(forest) - len(forest._subst)
 
     def test_a_row_widens_in_place_only_under_the_cap(self):
@@ -499,6 +506,39 @@ class TestMemRows:
             elses = forest.subst_vector(c_, x_, ids)
             for y, got in zip(forms, elses):
                 assert forest.to_tree(got) == mf(subst_tf(cond, x, y))
+
+    def test_every_row_slot_equals_subst_in_a_second_forest(self):
+        """An independent route: subst in a forest that opens no row.  Every
+        row of the two-valued universe over two atoms (72 conds, 74 else
+        branches, 75 ids) equals it at every id but U's, which stays
+        unfilled; so does a seeded sample of three-valued rows, the U slot
+        included, read before and after the forest widens to 291 ids."""
+        two = enumerate_mem_basic((a, b))
+        three = enumerate_mem_basic((a, b), three_valued=True)
+        rows, scalar = MemForest(), MemForest()
+        ids = [rows.from_tree(t) for t in two]
+        assert ids == [scalar.from_tree(t) for t in two] and len(rows) == 75
+        pairs = [(p, r) for p in ids[2:] for r in ids]
+        for p, r in pairs:
+            got = rows.subst_vector(p, ids, r)
+            assert got == [scalar.subst(p, x, r) for x in ids]
+            assert rows._rows[p, r][rows.U] == -1
+        assert len(rows._rows) == len(pairs) and not rows._subst
+        assert len(rows) == 75 and not scalar._rows
+        rng = random.Random(27)
+        old = rng.sample(pairs, 30)
+        for p, r in old:  # U slots of rows 75 ids wide; ids now differ
+            got = rows.subst_vector(p, [rows.U], r)
+            assert rows.to_tree(*got) == scalar.to_tree(scalar.subst(p, scalar.U, r))
+        big = [rows.from_tree(t) for t in three]
+        same = dict(zip(big, [scalar.from_tree(t) for t in three]))
+        assert len(rows) == len(scalar) == 291
+        new = rng.sample([(p, r) for p in big if p > 2 for r in big], 30)
+        for p, r in old + new:
+            got = rows.subst_vector(p, big, r)
+            assert [same[v] for v in got] == [
+                scalar.subst(same[p], same[x], same[r]) for x in big]
+        assert {len(rows._rows[key]) for key in old + new} == {291}
 
     def test_then_rows_fill_in_place(self):
         """A then-row opened before the forest grew, or read at a high id
