@@ -30,10 +30,13 @@ vector interned (_VectorMemo), so a repeated cond is one lookup; the memo
 goes with the check and empties past a fixed bound.  A free sweep runs in
 a Forest of its own, dropped when the check returns, and computes a vector
 cond by one run of a bottom-up program compiled from the cond and kept by
-its ids (Forest.subst_vector); each outer loop level marks that forest and
+its ids, and a cond with vector branches from columns kept per branch
+vector and node, so a node under several conds is built once per branch
+vector (Forest.subst_vector); each outer loop level marks that forest and
 rolls back to the mark after a digit once the forest has grown past a
-fixed bound (Forest.rollback), dropping the entries of the tables of that
-level and the ones inside it that name a node past the mark.
+fixed bound (Forest.rollback), dropping the programs, the columns and the
+entries of the tables of that level and the ones inside it that name a
+node past the mark.
 """
 
 from __future__ import annotations
@@ -218,11 +221,13 @@ _MEMO_MAX = 65_536
 
 # A free sweep's outer level rolls back to its mark after a digit once this
 # many nodes were built since.  CP and EqFSCL at k=2 in one process peak at
-# 162 MB unbounded, 49 MB at 100,000, 30 MB here (under the memorising
-# forest's ~32 MB) and 18 MB at 3,000, where they take 3.0 s against 1.8 s
-# here, as each rollback drops the memo entries made since its mark and
-# every compiled program.  Rolling back after every digit makes EqFSCL/F7
-# about 35% slower (0.90-0.94 s against 0.64-0.72 s).
+# 163 MB unbounded, 49 MB at 100,000, 30 MB here (under the memorising
+# forest's ~32 MB) and 18 MB at 3,000, where they take 4.5-4.7 s against
+# 2.8-2.9 s here (host-normalised as perfbench times), as each rollback
+# drops the memo entries made since its mark, every compiled program and
+# every kept column.  Rolling back after every digit makes EqFSCL/F7 about
+# 50% slower (1.41-1.56 s against 0.95-1.05 s): its columns are dropped
+# before most are read again.
 _ROLLBACK_NODES = 30_000
 
 # Fixed multipliers for the per-variable domain permutations of a truncated
@@ -329,8 +334,8 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
     # n entries (or sees one interned vector twice).  Each cond keeps the
     # function that computes it: Forest.subst for scalars; for a vector the
     # check's _VectorMemo in a memorising sweep, else Forest.subst_vector,
-    # one run of a kept program where the vector cond's shape allows.  The
-    # node list is in dependency order, which the split keeps.
+    # with its kept programs and columns.  The node list is in dependency
+    # order, which the split keeps.
     last = nvars - 1
     size = len(domain)
     perms = [_permutation(j, size) for j in range(nvars)]

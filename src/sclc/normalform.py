@@ -68,10 +68,12 @@ class Forest:
     A BDD unique table (Bryant, IEEE TC 1986), but nodes are only shared,
     never merged: T <| a |> T keeps its a.  Per node, a bitmask of the atoms
     at and below it lets reduce() skip subtrees without its atom.  subst is
-    memoised in one dict.  The cond of subst_vector is compiled into a
-    program over the cond's distinct nodes in id order, kept by the cond's
-    ids up to PROGRAMS_MAX at a time, so a repeated cond is rebuilt without
-    walking its DAG again."""
+    memoised in one dict.  subst_vector compiles a vector cond into a
+    program over its distinct nodes in id order, kept by the cond's ids, so
+    a repeated cond is rebuilt without walking its DAG again.  Under vector
+    branches it keeps a column per node, kept by the branch vector, so a
+    node under several conds is built once per branch vector.  Programs
+    and branch vectors are kept up to PROGRAMS_MAX of each at a time."""
 
     # Bounds the subst memo's entries plus a MemForest's row slots, filled
     # or not, and reduce lists, which outlive single checks.  A row is
@@ -81,12 +83,13 @@ class Forest:
     # and then three-valued, takes 2.48 M; the catalogue of valid tables
     # (tools/catalogue.py) reaches the bound in EqMSCL-consequences.
     CACHE_MAX = 3_000_000
-    # Bounds the compiled programs of subst_vector, cleared when full.  The
-    # seven sweep tables at k=2 in one process peak at 30.9-31.0 MB RSS at
-    # this bound and at 1,024, and at 31.7-31.8 MB at 4,096, where EqFSCL
-    # sets the peak, not CP.  Rollbacks clear the programs before larger
-    # bounds fill: CP compiles 2,100 for 28,214 vector conds at all three,
-    # EqFSCL 10,802, 10,652 and 10,477 for 17,802.
+    # Bounds the compiled programs of subst_vector, and apart from them the
+    # branch vectors it keeps columns for, each cleared when full.  The
+    # seven sweep tables at k=2 in one process peak at 29.9-30.0 MB RSS at
+    # this bound, at 1,024 and at 4,096.  Rollbacks clear both before larger
+    # bounds fill: at all three CP compiles 2,100 programs for 28,214 vector
+    # conds, and EqFSCL 81 for 5,558 and columns for 1,264 branch vectors
+    # in 17,720 calls with vector branches.
     PROGRAMS_MAX = 256
     T, F, U = 0, 1, 2
     FORM = "bf"  # what fold gives, named in its errors
@@ -101,6 +104,8 @@ class Forest:
         self._subst: dict[tuple[int, int, int], int] = {}
         self._reduce: dict[tuple[int, str, bool], int] = {}
         self._programs: dict[tuple[int, ...], tuple] = {}  # by _program
+        # subst_vector's columns, by the distinct (q_i, r_i) and then by id.
+        self._columns: dict[tuple[tuple[int, int], ...], dict[int, list[int]]] = {}
 
     def node(self, atom: str, on_true: int, on_false: int) -> int:
         key = (atom, on_true, on_false)
@@ -127,6 +132,7 @@ class Forest:
             self._ids.popitem()
         del self._rev[nodes:], self._mask[nodes:]
         self._programs.clear()
+        self._columns.clear()
         for memo, n in zip((self._subst, self._reduce, self._trees), memos):
             for _ in range(len(memo) - n):
                 memo.popitem()
@@ -201,12 +207,15 @@ class Forest:
 
     def subst_vector(self, p, q, r) -> list[int]:
         """subst element by element: arguments that are lists are vectors of
-        one length, the others are broadcast.  Two shapes run a compiled
-        program (_program) and write nothing to the subst memo: a vector
-        cond with scalar branches runs it once over one list of values
-        seeded with q, r and U, and a scalar cond other than a leaf with
-        vector branches runs it step by step over the lists of the distinct
-        (q_i, r_i) pairs.  Other shapes go through _each."""
+        one length, the others are broadcast.  Two shapes write nothing to
+        the subst memo.  A vector cond with scalar branches runs a compiled
+        program (_program) once over one list of values seeded with q, r
+        and U.  A scalar cond other than a leaf with vector branches gives
+        the column of p, where the column of a node x is subst(x, q_i, r_i)
+        over the distinct (q_i, r_i) pairs.  Columns are kept by those pairs
+        until the next rollback, so a call builds only the columns of the
+        nodes under p that have none yet, in id order (_below).  Other
+        shapes go through _each."""
         vec_p, vec_q, vec_r = isinstance(p, list), isinstance(q, list), isinstance(r, list)
         if vec_p == (vec_q or vec_r) or not vec_p and p < 3:
             return self._each(p, q, r)
@@ -223,26 +232,31 @@ class Forest:
                     mask.append(bits[atom] | mask[key[1]] | mask[key[2]])
                 values.append(i)
             return list(map(values.__getitem__, outs))
-        # Step by step over the distinct (q_i, r_i) pairs, a list per slot.
-        steps, (out,) = self._program((p,))
+        # A column per node, over the distinct (q_i, r_i) pairs.
         qs, rs = (a if isinstance(a, list) else repeat(a) for a in (q, r))
-        pairs = dict.fromkeys(zip(qs, rs))
-        columns = [[a for a, _ in pairs], [b for _, b in pairs],
-                   [self.U] * len(pairs)]
-        for atom, a, b in steps:
+        pairs = tuple(dict.fromkeys(zip(qs, rs)))
+        columns = self._columns.get(pairs)
+        if columns is None:
+            if len(self._columns) >= self.PROGRAMS_MAX:
+                self._columns.clear()
+            columns = self._columns[pairs] = {
+                self.T: [a for a, _ in pairs], self.F: [b for _, b in pairs],
+                self.U: [self.U] * len(pairs)}
+        for x in self._below((p,), columns):
+            atom, t, f = rev[x]
             bit = bits[atom]
             column = []
-            for key in zip(repeat(atom), columns[a], columns[b]):
+            for key in zip(repeat(atom), columns[t], columns[f]):
                 i = ids.get(key)
                 if i is None:
                     i = ids[key] = len(rev)
                     rev.append(key)
                     mask.append(bit | mask[key[1]] | mask[key[2]])
                 column.append(i)
-            columns.append(column)
+            columns[x] = column
         if len(pairs) == len(q if vec_q else r):  # no pair repeats: in order
-            return columns[out]
-        results = dict(zip(pairs, columns[out]))
+            return list(columns[p])
+        results = dict(zip(pairs, columns[p]))
         return [results[pair] for pair in zip(qs, rs)]
 
     def _each(self, p, q, r) -> list[int]:
@@ -323,9 +337,10 @@ class MemForest(Forest):
         raise ValueError("a memorising forest cannot roll back")
 
     def subst_vector(self, p, q, r) -> list[int]:
-        """As Forest.subst_vector but with no program, which would bypass
-        node(): a lone vector branch reads one row (_then), a then vector
-        that of (p, r), an else vector that of (not p, q); others _each."""
+        """As Forest.subst_vector but with no program or column, which
+        would bypass node(): a lone vector branch reads one row (_then), a
+        then vector that of (p, r), an else vector that of (not p, q);
+        others _each."""
         vec_q, vec_r = isinstance(q, list), isinstance(r, list)
         if vec_q != vec_r and type(p) is int and p > 2:
             return (self._then(p, r, q) if vec_q

@@ -604,6 +604,28 @@ class TestSweepTables:
             r = _exhaustive(s, FREE, 2, 10 ** 6)
             assert not r.refuted and len(calls) == want
 
+    def test_a_column_is_built_once_per_branch_vector(self, monkeypatch):
+        # With no rollback, F7's 10,800 calls with a scalar cond and vector
+        # branches reach 34,024 nodes under their conds, but under 74
+        # distinct branch vectors only 9,764 (node, vector) pairs: a column
+        # kept by its vector is built once and then read.
+        built = []
+        below = Forest._below
+
+        def counted(forest, roots, known):
+            out = below(forest, roots, known)
+            for pairs, columns in forest._columns.items():
+                if columns is known:
+                    built.extend((x, pairs) for x in out)
+            return out
+
+        monkeypatch.setattr(axioms, "_ROLLBACK_NODES", 10 ** 9)
+        monkeypatch.setattr(Forest, "_below", counted)
+        s = next(s for s in table_by_name("EqFSCL").schemas if s.name == "F7")
+        assert not _exhaustive(s, FREE, 2, 10 ** 6).refuted
+        assert len(set(built)) == len(built) == 9_764
+        assert len({pairs for _, pairs in built}) == 74
+
     def test_a_vector_cond_runs_a_kept_program(self, monkeypatch):
         # CP4's vector conds repeat their cond vectors: at budget 100,000
         # its 2,946 vector conds compile 246 programs; a compile on every

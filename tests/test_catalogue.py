@@ -14,7 +14,7 @@ def test_catalogue_at_k1():
     done = subprocess.run([sys.executable, str(TOOL), "--k", "1"], capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0 and not done.stderr
-    *lines, digest, mem_s, rss = done.stdout.splitlines()
+    *lines, digest, free_s, mem_s, rss = done.stdout.splitlines()
     # One line per schema, in builtin order: a memorising table two- and
     # then three-valued unless its mode is three-valued already.
     want = []
@@ -31,5 +31,6 @@ def test_catalogue_at_k1():
     assert all(int(f[4]) >= 1 and f[5] in ("False", "True") for f in fields)
     text = "".join(line + "\n" for line in lines)
     assert digest == f"digest {hashlib.sha256(text.encode()).hexdigest()}"
-    assert mem_s.startswith("mem_process_s ") and float(mem_s.split()[1]) > 0
+    for line, name in ((free_s, "free_process_s"), (mem_s, "mem_process_s")):
+        assert line.startswith(name + " ") and float(line.split()[1]) > 0
     assert rss.startswith("peak_rss_mb ") and float(rss.split()[1]) > 0

@@ -322,10 +322,11 @@ class TestSubstVector:
 
     @pytest.mark.parametrize("bound", [Forest.PROGRAMS_MAX, 1])
     def test_random_vectors_match_subst(self, bound):
-        """Both compiled shapes against subst element by element: vectors
-        with repeats, leaves and U leaves, each drawn many times, so that
-        most calls run a kept program; at bound 1 every new vector clears
-        the programs."""
+        """Both fast shapes against subst element by element: vectors with
+        repeats, leaves and U leaves, each drawn many times, so that most
+        calls run a kept program or read kept columns; at bound 1 every new
+        cond vector clears the programs, every new branch vector the
+        columns."""
         rng = random.Random(59)
         forest = Forest()
         forest.PROGRAMS_MAX = bound
@@ -341,11 +342,12 @@ class TestSubstVector:
             for args in ((v, s1, s2), (s, v, s2), (s, s1, v), (s, v, w)):
                 assert forest.subst_vector(*args) == self._per_element(forest, args)
         assert len(forest._programs) <= bound
+        assert len(forest._columns) <= bound
 
     @pytest.mark.parametrize("shape", ["vector cond", "vector branches"])
     def test_a_rollback_drops_the_compiled_programs(self, shape):
-        # After a rollback one id names another DAG: a program kept across
-        # it would rebuild the one it was compiled from.
+        # After a rollback one id names another DAG: a program or a column
+        # kept across it would rebuild or give the one it was made from.
         def args(p):
             return ([p], q, r) if shape == "vector cond" else (p, [q, r], r)
 
@@ -367,7 +369,7 @@ class TestSubstVector:
             "recursion_limit": 1000}
 
 
-# Both compiled shapes of subst_vector on a chain 5,000 deep, under the
+# Both fast shapes of subst_vector on a chain 5,000 deep, under the
 # default recursion limit; subst(x, T, F) is x itself.
 SUBST_VECTOR_DEPTH_SCRIPT = """
 import json, sys

@@ -7,8 +7,9 @@ depth K (default 2), in builtin order, in one process: a free table once,
 a memorising table two-valued and then three-valued (once if its mode is
 three-valued already).  Prints one line per schema, tab-separated: table,
 mode, schema, verdict, count, budget flag and witness (variable=term pairs
-in variable order, "-" if none).  Then three lines: the sha256 of the
-schema lines, the process time of the memorising checks, and the peak RSS.
+in variable order, "-" if none).  Then four lines: the sha256 of the
+schema lines, the process times of the free and of the memorising checks,
+and the peak RSS.
 The schema lines and the digest do not depend on the host; compare them
 between two trees to see that a change keeps every result.
 
@@ -36,7 +37,7 @@ def main(argv: list[str] | None = None) -> int:
     from sclc.axioms import builtin_tables, check_table
     from sclc.syntax import print_term
 
-    digest, mem_s = hashlib.sha256(), 0.0
+    digest, process_s = hashlib.sha256(), {"free": 0.0, "mem": 0.0}
     for table in builtin_tables():
         if table.expect_refuted:
             continue
@@ -44,8 +45,7 @@ def main(argv: list[str] | None = None) -> int:
         for three in (False, True) if mem and not table.mode.three_valued else (False,):
             start = time.process_time()
             results = check_table(table, "exhaustive", k=args.k, three_valued=three)
-            if mem:
-                mem_s += time.process_time() - start
+            process_s[table.mode.congruence] += time.process_time() - start
             mode = table.mode.congruence + ("+U" if three or table.mode.three_valued else "")
             for schema, r in results:
                 witness = ";".join(f"{v}={print_term(t)}" for v, t in
@@ -55,7 +55,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(line)
                 digest.update(line.encode() + b"\n")
     print(f"digest {digest.hexdigest()}")
-    print(f"mem_process_s {mem_s:.2f}")
+    for congruence, seconds in process_s.items():
+        print(f"{congruence}_process_s {seconds:.3f}")
     print(f"peak_rss_mb {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}")
     return 0
 
