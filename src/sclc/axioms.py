@@ -27,16 +27,17 @@ negated cond and then branch, and a vector cond or a cond with two vector
 arguments goes through subst element by element; a leaf cond needs no row.
 A memorising check keeps its vector conds by their arguments' ids, every
 vector interned (_VectorMemo), so a repeated cond is one lookup; the memo
-goes with the check and empties past a fixed bound.  A free sweep runs in
-a Forest of its own, dropped when the check returns, and computes a vector
-cond by one run of a bottom-up program compiled from the cond and kept by
-its ids, and a cond with vector branches from columns kept per branch
-vector and node, so a node under several conds is built once per branch
-vector (Forest.subst_vector); each outer loop level marks that forest and
-rolls back to the mark after a digit once the forest has grown past a
-fixed bound (Forest.rollback), dropping the programs, the columns and the
-entries of the tables of that level and the ones inside it that name a
-node past the mark.
+goes with the check.  A free sweep runs in a Forest of its own, dropped
+when the check returns, and computes a vector cond by one run of a
+bottom-up program compiled from the cond and kept by its ids, and a cond
+with vector branches from columns kept per branch vector and node, so a
+node under several conds is built once per branch vector
+(Forest.subst_vector); each outer loop level notes the forest's node count
+and, once the forest has grown a fixed bound past it, rolls back to it
+after a digit (Forest.rollback), which empties the forest's memos, and
+clears the tables of that level and the ones inside it.  Every memo is a
+cache, emptied when it reaches its bound or on a rollback and refilled by
+later misses; node ids stay until a rollback forgets them.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import count
 from math import gcd
 
 from .congruence import FREE, MEM, MEM3, Mode, forest_for, normal_form
@@ -205,29 +207,30 @@ def check_sweep_args(k: int, budget: int, three_valued: bool) -> None:
 # EqMSCL-lN and U store 34,321 subst entries (3.5 MB), 5,328 rows with
 # 394,272 entries in 399,600 slots, all filled but U's (2.5 MB; 12.6 MB as
 # dicts), keys included, and four reduce lists of 75 ids.  A forest per
-# check made these checks 58-107% slower and their peak 1 MB lower (with
-# dict rows 45-65% slower and 14 MB higher).
+# check made these checks slower and their peak 1 MB lower: 1.62-2.25 s
+# against 1.14-1.74 s of process time in 7 alternations (a forest per
+# table: 1.09-1.65 s).  Its memos are emptied whenever they reach
+# CACHE_MAX, as every forest's are.
 # Free values are unbounded; a free sweep runs faster in a fresh forest,
-# dropped on return and rolled back to level marks past _ROLLBACK_NODES
-# (a MemForest cannot roll back).  A check keeps its vector conds apart, in
-# a _VectorMemo dropped on return.
+# dropped on return and rolled back past _ROLLBACK_NODES.  A check keeps
+# its vector conds apart, in a _VectorMemo dropped on return.
 _MEM_FOREST = MemForest()
 
-# A _VectorMemo's bound.  The k=2 checks of the memorising tables store at
-# most 33,336 (mem1).  At k=3 a vector has 16,430 elements and vector conds
-# hardly repeat: 2 hits in 135 in a CPmem + mem1 check at budget 300,000,
-# which an unbounded memo made 6 MB larger.
+# A _VectorMemo's bound: past it the memo is emptied and goes on.  The
+# k=2 checks of the memorising tables store at most 33,336 (mem1).  At k=3
+# a vector has 16,430 elements and vector conds hardly repeat: 2 hits in
+# 135 in a CPmem + mem1 check at budget 300,000, which an unbounded memo
+# made 6 MB larger.
 _MEMO_MAX = 65_536
 
-# A free sweep's outer level rolls back to its mark after a digit once this
-# many nodes were built since.  CP and EqFSCL at k=2 in one process peak at
-# 163 MB unbounded, 49 MB at 100,000, 30 MB here (under the memorising
-# forest's ~32 MB) and 18 MB at 3,000, where they take 4.5-4.7 s against
-# 2.8-2.9 s here (host-normalised as perfbench times), as each rollback
-# drops the memo entries made since its mark, every compiled program and
-# every kept column.  Rolling back after every digit makes EqFSCL/F7 about
-# 50% slower (1.41-1.56 s against 0.95-1.05 s): its columns are dropped
-# before most are read again.
+# A free sweep's outer level rolls back to its node count at entry after a
+# digit once this many nodes were built since.  CP and EqFSCL at k=2 in
+# one process peak at 163 MB unbounded, 49 MB at 100,000, 30 MB here (under
+# the memorising forest's ~32 MB) and 18 MB at 3,000, where they take
+# 3.3-4.8 s against 2.0-2.5 s here (4 runs each, process time), as each
+# rollback empties every memo, compiled program and kept column.  Rolling
+# back after every digit makes EqFSCL/F7 slower (0.91-1.53 s against
+# 0.68-1.12 s): its columns are dropped before most are read again.
 _ROLLBACK_NODES = 30_000
 
 # Fixed multipliers for the per-variable domain permutations of a truncated
@@ -256,33 +259,29 @@ class _VectorMemo(dict):
     """Forest.subst_vector for one memorising check, keyed by its arguments'
     ids: a scalar's forest id, a vector's key.  Results are interned, one
     _Vector per distinct value, so a repeated cond is one lookup.  A call
-    that would hold over _MEMO_MAX entries plus interned elements empties
-    the memo for good."""
+    that would hold over _MEMO_MAX entries plus interned elements first
+    empties the memo and the interned vectors.  Keys come from a counter,
+    never reused: vectors interned before an emptying still sit in the
+    sweep's slots."""
 
     def __init__(self, forest: MemForest):
-        self.forest, self.vectors, self.full = forest, {}, False
+        self.forest, self.vectors, self.keys = forest, {}, count(-1, -1)
 
     def intern(self, values: list[int]) -> list[int]:
         # Counts the entry and the vector that this call may add.
         if len(self) + 1 + (len(self.vectors) + 1) * len(values) > _MEMO_MAX:
-            self.full = True
             self.clear()
             self.vectors.clear()
-            return values
         v = _Vector(values)
-        v.key = -1 - len(self.vectors)
+        v.key = next(self.keys)
         return self.vectors.setdefault(v, v)
 
     def __call__(self, x, y, z) -> list[int]:
-        if self.full:
-            return self.forest.subst_vector(x, y, z)
         key = (x if type(x) is int else x.key, y if type(y) is int else y.key,
                z if type(z) is int else z.key)
         out = self.get(key)
         if out is None:
-            out = self.intern(self.forest.subst_vector(x, y, z))
-            if not self.full:
-                self[key] = out
+            out = self[key] = self.intern(self.forest.subst_vector(x, y, z))
         return out
 
 
@@ -326,8 +325,8 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
     # level to its value: the loops between repeat those digits, which then
     # cost one lookup.  The table is cleared at each digit of that earlier
     # variable (never if there is none), so it holds at most one entry per
-    # digit of its level; a free sweep's rollback at level j also drops the
-    # entries of the tables at levels >= j that name nodes past its mark.
+    # digit of its level; a free sweep's rollback at level j also clears
+    # the tables at levels >= j.
     # A node that reads the innermost variable is a vector, one value per
     # digit of it; that variable's slot holds its whole permuted domain from
     # the start, and the innermost level only compares the two tops' first
@@ -405,7 +404,7 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
         var_slots = var_sets[j]
         level_conds = conds[j]
         level_tables = clear_at[j]
-        mark = None if mem else forest.mark()
+        nodes = None if mem else len(forest)
         for digit in perms[j]:
             env[j] = digit
             value = domain[digit]
@@ -422,13 +421,12 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
                     slots[i] = table[digit] = fn(slots[a], slots[b], slots[c])
             if run_level(j + 1):
                 return True
-            if mark is not None and len(forest) - mark[0] > _ROLLBACK_NODES:
-                forest.rollback(mark)  # outer slots predate the mark
-                for level in conds[j:]:  # drop entries naming dropped ids
+            if nodes is not None and len(forest) - nodes > _ROLLBACK_NODES:
+                forest.rollback(nodes)  # outer slots predate it
+                for level in conds[j:]:  # their tables may name dropped ids
                     for *_, table in level:
-                        for d, v in list((table or {}).items()):
-                            if (max(v) if isinstance(v, list) else v) >= mark[0]:
-                                del table[d]
+                        if table is not None:
+                            table.clear()
         return False
 
     if nvars == 0:

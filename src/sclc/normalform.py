@@ -73,15 +73,17 @@ class Forest:
     a repeated cond is rebuilt without walking its DAG again.  Under vector
     branches it keeps a column per node, kept by the branch vector, so a
     node under several conds is built once per branch vector.  Programs
-    and branch vectors are kept up to PROGRAMS_MAX of each at a time."""
+    and branch vectors are kept up to PROGRAMS_MAX of each at a time.
+    Every memo is a cache, emptied when full or on a rollback; node ids
+    stay until a rollback forgets them."""
 
     # Bounds the subst memo's entries plus a MemForest's row slots, filled
-    # or not, and reduce lists, which outlive single checks.  A row is
-    # opened or widened only if its new slots and the reduce lists its fill
-    # widens all fit; past the bound, results are computed and not stored
-    # (the reduce memo underneath keeps that cheap).  CPmem at k=2, two-
-    # and then three-valued, takes 2.48 M; the catalogue of valid tables
-    # (tools/catalogue.py) reaches the bound in EqMSCL-consequences.
+    # or not, and reduce lists: a count of entries, not bytes (3 M subst
+    # entries take about 0.6 GB in a plain dict).  An entry or a row fill
+    # that would pass it first empties all three (_forget) and then goes
+    # on: the memos are caches, node ids stay.  CPmem at k=2, two- and
+    # then three-valued, takes 2.48 M; the catalogue of valid tables
+    # (tools/catalogue.py) passes the bound in EqMSCL-consequences.
     CACHE_MAX = 3_000_000
     # Bounds the compiled programs of subst_vector, and apart from them the
     # branch vectors it keeps columns for, each cleared when full.  The
@@ -120,22 +122,22 @@ class Forest:
     def __len__(self) -> int:  # ids handed out, the leaves included
         return len(self._rev)
 
-    def mark(self) -> tuple[int, int, int, int]:
-        return len(self._rev), len(self._subst), len(self._reduce), len(self._trees)
-
-    def rollback(self, mark: tuple[int, int, int, int]) -> None:
-        """Forget the nodes and memo entries made since mark().  Ids and
-        entries come in order, older entries name only older ids: popping
-        restores it exactly."""
-        nodes, *memos = mark
+    def rollback(self, nodes: int) -> None:
+        """Forget the ids from nodes on, the last ones in the unique table,
+        and empty every memo, as it may name them; to_tree keeps the Node
+        objects of older ids."""
         for _ in range(len(self._rev) - nodes):
             self._ids.popitem()
         del self._rev[nodes:], self._mask[nodes:]
+        self._forget()
+        self._reduce.clear()
         self._programs.clear()
         self._columns.clear()
-        for memo, n in zip((self._subst, self._reduce, self._trees), memos):
-            for _ in range(len(memo) - n):
-                memo.popitem()
+        self._trees = {x: t for x, t in self._trees.items() if x < nodes}
+
+    def _forget(self) -> None:
+        """Empty the memos that CACHE_MAX bounds."""
+        self._subst.clear()
 
     def from_tree(self, t: BasicForm) -> int:
         return fold_tree(t, lambda leaf: "TFU".index(leaf.value), self.node)
@@ -201,8 +203,9 @@ class Forest:
         if out is None:
             atom, pt, pf = self._rev[p]
             out = self.node(atom, self.subst(pt, q, r), self.subst(pf, q, r))
-            if len(self._subst) + self._slots < self.CACHE_MAX:
-                self._subst[key] = out
+            if len(self._subst) + self._slots >= self.CACHE_MAX:
+                self._forget()
+            self._subst[key] = out
         return out
 
     def subst_vector(self, p, q, r) -> list[int]:
@@ -315,10 +318,11 @@ class MemForest(Forest):
     as wide as the forest when opened and widened in place as it grows (a
     dense computed table, Brace, Rudell and Bryant, DAC 1990).  A row's new
     slots are filled whole (_row), all but the slot of U, which holds -1
-    until its first read: filled up front, it would build U-forms in a
-    two-valued check.  As x <| p |> y = y <| not p |> x, an else vector
-    reads the then-row of the negated cond, so one row kind serves both
-    branches."""
+    until its first read, then subst(p, U, r): filled up front, it would
+    build U-forms in a two-valued check.  As x <| p |> y = y <| not p |> x,
+    an else vector reads the then-row of the negated cond, so one row kind
+    serves both branches.  Rows and reduce lists are emptied with the
+    subst memo (_forget)."""
 
     FORM = "mbf"
 
@@ -333,8 +337,11 @@ class MemForest(Forest):
         return Forest.node(self, atom, self.reduce(on_true, atom, True),
                            self.reduce(on_false, atom, False))
 
-    def rollback(self, mark) -> None:  # rows gain entries in place
-        raise ValueError("a memorising forest cannot roll back")
+    def _forget(self) -> None:
+        self._subst.clear()
+        self._rows.clear()
+        self._reduced.clear()
+        self._slots = 0
 
     def subst_vector(self, p, q, r) -> list[int]:
         """As Forest.subst_vector but with no program or column, which
@@ -350,58 +357,50 @@ class MemForest(Forest):
     def _then(self, p: int, r: int, xs: list[int]) -> list[int]:
         """subst(p, x, r) for each x of xs, p not a leaf, read from the
         then-row of (p, r), which _row opens, or widens when an x is past
-        its width; if it does not fit under CACHE_MAX, subst computes each
-        x instead.  The slot of U is filled on its first read, bottom-up in
-        the rows of (x, r) for each x under p, which p's fill opened."""
+        its width.  The slot of U is subst(p, U, r), stored on its first
+        read."""
         row = self._rows.get((p, r))
         if row is None or len(row) < len(self._rev) and max(xs, default=0) >= len(row):
             row = self._row(p, r, len(self._rev))
-            if row is None:
-                return [self.subst(p, x, r) for x in xs]
         read = (itemgetter(*xs) if len(xs) > 1  # of one x it gives no tuple
                 else lambda row: [row[x] for x in xs])
         out = list(read(row))
         if -1 in out:
-            rows, U = self._rows, self.U
-            for x in self._below((p,), dict.fromkeys((self.T, self.F, U))):
-                atom, t, e = self._rev[x]
-                if rows[x, r][U] < 0:
-                    rows[x, r][U] = self.node(atom, *(
-                        rows[c, r][U] if c > 2 else (U, r, U)[c] for c in (t, e)))
+            row[self.U] = self.subst(p, self.U, r)
             out = list(read(row))
         return out
 
-    def _row(self, p: int, r: int, width: int) -> array | None:
-        """The then-row of (p, r), p not a leaf, at least width slots wide,
-        or None if its new slots and reduce lists do not fit under
-        CACHE_MAX.  A missing row is opened, and a narrower one widened in
-        place, to the forest's width n, its new slots filled in one pass
-        from the rows of p's children with the same r, at least n wide: the
-        slot of x is node(atom, t_x, e_x) for the children's slots t_x and
-        e_x (a leaf child gives x, r or U), through the reduce lists and one
-        unique-table lookup each.  The recursion is as deep as p's atoms
-        are many: mem-basic paths never repeat one."""
+    def _row(self, p: int, r: int, width: int) -> array:
+        """The then-row of (p, r), p not a leaf, at least width slots wide.
+        A missing row is opened, and a narrower one widened in place, to
+        the forest's width n, its new slots filled in one pass from the
+        rows of p's children with the same r, at least n wide: the slot of
+        x is node(atom, t_x, e_x) for the children's slots t_x and e_x (a
+        leaf child gives x, r or U), through the reduce lists and one
+        unique-table lookup each.  If the new slots and reduce lists do
+        not fit under CACHE_MAX, the memos are emptied first and the row
+        is opened whole.  The recursion is as deep as p's atoms are many:
+        mem-basic paths never repeat one."""
         row = self._rows.get((p, r))
         if row is not None and len(row) >= width:
             return row
-        n, lo = len(self._rev), 0 if row is None else len(row)
-        new = n - lo  # the row's new slots; the reduce lists' come later
-        if len(self._subst) + self._slots + new > self.CACHE_MAX:
-            return None  # before the children: past the cap, a miss is cheap
-        atom, t, e = self._rev[p]
+        n, (atom, t, e) = len(self._rev), self._rev[p]
         kids = [c if c < 3 else self._row(c, r, n) for c in (t, e)]
-        if kids[0] is None or kids[1] is None:
-            return None
         # The children's slots, r and U are ids below m: a reduce list
-        # that long covers them.
+        # that long covers them.  A child's fill may have emptied the
+        # memos, this row with them.
         m, assumes = len(self._rev), (True, False)
-        reds = [self._reduced.setdefault((atom, b), []) for b in assumes]
-        new += sum(m - len(red) for red in reds)
+        row = self._rows.get((p, r))
+        lo = 0 if row is None else len(row)
+        reds = [self._reduced.get((atom, b), []) for b in assumes]
+        new = n - lo + sum(m - len(red) for red in reds)
         if len(self._subst) + self._slots + new > self.CACHE_MAX:
-            return None
+            self._forget()
+            row, lo, reds, new = None, 0, [[], []], n + 2 * m
         self._slots += new
         for b, red in zip(assumes, reds):
             red += map(self.reduce, range(len(red), m), repeat(atom), repeat(b))
+            self._reduced[atom, b] = red
         xs = range(lo, n) if lo else [0, 1, *range(3, n)]  # not U's slot
         ts, es = (map(kid.__getitem__, xs) if type(kid) is array else xs if kid == self.T
                   else repeat(r if kid == self.F else self.U, len(xs)) for kid in kids)

@@ -235,10 +235,41 @@ class TestExhaustive:
         assert full == capped == (Verdict.PASSED_EXHAUSTIVE, 20_000, True)
         assert capped_slots <= 100_000 < full_slots
 
+    def test_a_shared_forest_past_its_cap_empties_and_goes_on(self, monkeypatch):
+        """Memorising tables in one shared forest under a small CACHE_MAX:
+        its memos are emptied when full, not frozen, so rows still open
+        after an emptying, the memos stay near the cap, and every result
+        equals that of an uncapped forest."""
+        tables = [table_by_name(n) for n in ("CPmem", "EqMSCL", "EqMSCL-lI",
+                                            "EqMSCL-lN", "U")]
+
+        def results(forest):
+            monkeypatch.setattr(axioms, "_MEM_FOREST", forest)
+            return [(r.verdict, r.count, r.budget_exceeded, r.witness)
+                    for t in tables for _, r in check_table(t, "exhaustive",
+                                                            budget=5_000)]
+
+        want = results(MemForest())
+        capped, sizes, row = MemForest(), [], MemForest._row
+        capped.CACHE_MAX = 10_000
+
+        def recorded(forest, *args):  # rows, and entries plus slots, after
+            out = row(forest, *args)
+            sizes.append((len(forest._rows), len(forest._subst) + forest._slots))
+            return out
+
+        monkeypatch.setattr(MemForest, "_row", recorded)
+        assert results(capped) == want
+        emptied = [i for i in range(1, len(sizes)) if sizes[i][1] < sizes[i - 1][1]]
+        assert len(emptied) > 5
+        last = emptied[-1]
+        assert sizes[-1][0] > sizes[last][0]  # rows opened after the last one
+        assert max(held for _, held in sizes) <= 10_000 + 3 * len(capped)
+
     def test_vector_memo_under_a_small_bound(self, monkeypatch):
         # Past _MEMO_MAX entries plus interned elements the memo empties and
-        # computes every later vector cond: the result is the same, and the
-        # memo never held more than the bound.
+        # goes on storing: the result is the same, every call leaves its
+        # entry, and the memo never holds more than the bound.
         and_iff = table_by_name("EqMSCL-lI").schemas[5]
         held = []
         call = axioms._VectorMemo.__call__
@@ -254,10 +285,12 @@ class TestExhaustive:
             monkeypatch.setattr(axioms, "_MEMO_MAX", bound)
             held.clear()
             r = _exhaustive(and_iff, MEM, 2, 10 ** 6)
-            runs.append(((r.verdict, r.count), max(held), held[-1]))
-        (full, full_held, _), (capped, capped_held, capped_last) = runs
+            emptied = sum(b < a for a, b in zip(held, held[1:]))
+            runs.append(((r.verdict, r.count), max(held), min(held), emptied))
+        (full, full_held, _, none), (capped, capped_held, least, emptied) = runs
         assert full == capped == (Verdict.PASSED_EXHAUSTIVE, 405_224)
-        assert capped_held <= 2_000 < full_held and capped_last == 0
+        assert capped_held <= 2_000 < full_held
+        assert none == 0 < least and emptied > 10
 
     def test_free_sweep_leaves_the_memorising_forest_alone(self, monkeypatch):
         f = MemForest()
@@ -412,29 +445,25 @@ class TestSweepReference:
     def _sweep_sizes(monkeypatch, s, bound):
         """Free sweep of s at budget 100,000 and the given rollback bound:
         (count, budget_exceeded), every node count the levels read, the
-        first mark's node count and the number of rollbacks."""
-        reads, marks, rollbacks = [], [], []
-        size, mark, rollback = Forest.__len__, Forest.mark, Forest.rollback
+        outermost level's mark (its node count on entry) and the number of
+        rollbacks."""
+        reads, rollbacks = [], []
+        size, rollback = Forest.__len__, Forest.rollback
 
         def counted_size(forest):
             reads.append(size(forest))
             return reads[-1]
 
-        def counted_mark(forest):
-            marks.append(mark(forest))
-            return marks[-1]
-
-        def counted_rollback(forest, m):
-            rollbacks.append(m)
-            rollback(forest, m)
+        def counted_rollback(forest, nodes):
+            rollbacks.append(nodes)
+            rollback(forest, nodes)
 
         with monkeypatch.context() as patch:
             patch.setattr(axioms, "_ROLLBACK_NODES", bound)
             patch.setattr(Forest, "__len__", counted_size)
-            patch.setattr(Forest, "mark", counted_mark)
             patch.setattr(Forest, "rollback", counted_rollback)
             r = _exhaustive(s, FREE, 2, 100_000)
-        return (r.count, r.budget_exceeded), reads, marks[0][0], len(rollbacks)
+        return (r.count, r.budget_exceeded), reads, reads[0], len(rollbacks)
 
     def test_free_forest_stays_under_a_ceiling(self, monkeypatch):
         # CP4 has five variables, so four outer levels, each of which reads
@@ -459,8 +488,12 @@ class TestSweepReference:
         assert bounded[3] > 0 and unbounded[3] == 0
         assert max(bounded[1]) <= ceiling < max(unbounded[1])
         assert result == bounded[0] == unbounded[0] == (100_000, True)
-        # A memorising sweep never rolls back (its forest would refuse).
+        # A memorising sweep never rolls back its shared forest.
+        def refuse(forest, nodes):
+            raise AssertionError("a memorising sweep rolled back")
+
         monkeypatch.setattr(axioms, "_ROLLBACK_NODES", 1)
+        monkeypatch.setattr(Forest, "rollback", refuse)
         assert _exhaustive(table_by_name("CPmem").schemas[1], MEM, 2,
                            5_000).count == 5_000
 
@@ -681,14 +714,12 @@ class TestSweepTables:
         assert not r.refuted
         return len(calls)
 
-    def test_a_rollback_keeps_table_entries_older_than_its_mark(
-            self, monkeypatch):
+    def test_a_rollback_clears_the_tables_inside_its_level(self, monkeypatch):
         # At the module bound F7 rolls back 16 times, each time to the
-        # check's first mark, and drops the entries of Y && Z's table that
-        # name nodes built since: 12,050 calls, against 11,026 without
-        # rollback and 12,210 when a rollback cleared whole tables.  Entries
-        # that name only older nodes stay.
-        assert self._subst_vector_calls(monkeypatch, "EqFSCL", "F7") == 12_050
+        # outermost level's mark, and clears the tables of that level and
+        # the ones inside it: 16 refills of the 74 entries of Y && Z's
+        # table make 12,210 calls, against 11,026 without rollback.
+        assert self._subst_vector_calls(monkeypatch, "EqFSCL", "F7") == 12_210
 
     @pytest.mark.parametrize("table,name,want", [
         ("EqMSCL-lI", "AndIff", 6_138), ("EqMSCL", "Mem", 6_063),

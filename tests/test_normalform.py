@@ -244,11 +244,13 @@ def _exercise(forest, trees):
 
 class TestCheckpoint:
     @staticmethod
-    def _tables(forest):
-        # Items in order: a later rollback pops by insertion order.
-        return [list(forest._ids.items()), list(forest._rev),
-                list(forest._mask), list(forest._subst.items()),
-                list(forest._reduce.items()), list(forest._trees.items())]
+    def _unique_table(forest):
+        return list(forest._ids.items()), list(forest._rev), list(forest._mask)
+
+    @staticmethod
+    def _memos(forest):
+        return [forest._subst, forest._reduce, forest._programs, forest._columns,
+                *(getattr(forest, memo, {}) for memo in ("_rows", "_reduced"))]
 
     def test_rollback_restores_the_marked_forest(self):
         rng = random.Random(31)
@@ -256,20 +258,38 @@ class TestCheckpoint:
                           for _ in range(30)] for _ in range(2))
         forest = Forest()
         _exercise(forest, before)
-        mark, tables = forest.mark(), self._tables(forest)
+        nodes, table, trees = len(forest), self._unique_table(forest), dict(forest._trees)
         # Memo entries on ids from before the mark, and new ids.
         _exercise(forest, before[::2] + after)
-        assert len(forest) > mark[0]
-        forest.rollback(mark)
-        assert self._tables(forest) == tables
+        assert len(forest) > nodes
+        forest.rollback(nodes)
+        assert self._unique_table(forest) == table
+        assert not any(self._memos(forest))
+        assert all(forest._trees[x] is t for x, t in trees.items())
+        assert max(forest._trees) < nodes
         assert _exercise(forest, after) == _exercise(Forest(), after)
 
-    def test_memorising_forest_refuses(self):
+    def test_a_memorising_forest_rolls_back_its_rows(self):
+        # Rows gain slots in place; a rollback empties them with every
+        # other memo.
+        rng = random.Random(37)
+        before, after = ([random_basic_form(rng, (a, b, "c"), 4, True)
+                          for _ in range(12)] for _ in range(2))
+
+        def exercise(forest, trees):
+            ids = [forest.from_tree(t) for t in trees]
+            vectors = [forest.subst_vector(p, ids, q) for p, q in zip(ids, ids[1:])]
+            return _exercise(forest, trees), [list(map(forest.to_tree, v)) for v in vectors]
+
         forest = MemForest()
-        forest.from_tree(Q)
-        with pytest.raises(ValueError):
-            forest.rollback(forest.mark())
-        assert len(forest) == 4
+        exercise(forest, before)
+        nodes, table = len(forest), self._unique_table(forest)
+        exercise(forest, before[::2] + after)
+        assert len(forest) > nodes and forest._rows
+        forest.rollback(nodes)
+        assert self._unique_table(forest) == table
+        assert not any(self._memos(forest)) and forest._slots == 0
+        assert exercise(forest, after) == exercise(MemForest(), after)
 
 
 class TestSubstVector:
@@ -353,10 +373,10 @@ class TestSubstVector:
 
         forest = Forest()
         q, r = forest.from_tree(Q), forest.from_tree(R)
-        mark = forest.mark()
+        nodes = len(forest)
         old = forest.from_tree(Node(a, LEAF_T, Node(b, LEAF_F, LEAF_U)))
         forest.subst_vector(*args(old))
-        forest.rollback(mark)
+        forest.rollback(nodes)
         new = forest.from_tree(Node(b, Node(a, LEAF_U, LEAF_T), LEAF_F))
         assert new == old
         assert forest.subst_vector(*args(new)) == self._per_element(forest, args(new))
@@ -397,11 +417,12 @@ class TestMemRows:
 
     def test_rows_agree_with_mf_of_subst_under_a_small_cap(self):
         forest = MemForest()
-        # Past the cap, subst and rows compute without storing.  A row's
-        # first fill also widens two reduce lists as long as the forest
-        # (29 ids here, then over 200), so a cap of 50 fits no row.
+        # Past the cap, subst and rows empty the memos and store on.  A
+        # row's first fill also widens two reduce lists as long as the forest
+        # (29 ids here, then over 200), so one fill can pass the cap alone.
         forest.CACHE_MAX = 150
-        # Largest first, so that subst stores entries before rows fill the cap.
+        emptied, forget = [], forest._forget
+        forest._forget = lambda: (emptied.append(None), forget())
         forms = enumerate_mem_basic((a, b), three_valued=True)[::23][::-1]
         ids = {id(t): forest.from_tree(t) for t in forms}
         for c, t, e in itertools.product(forms, repeat=3):
@@ -412,22 +433,23 @@ class TestMemRows:
                         *forest.subst_vector(c_, [t_], e_),
                         *forest.subst_vector(c_, t_, [e_])):
                 assert forest.to_tree(got) == want
-        # One cap bounds the subst memo, the rows' slots and the reduce
-        # lists together.
+            # One cap bounds the subst memo, the rows' slots and the reduce
+            # lists together; an emptying leaves at most the fill after it.
+            assert allocated_slots(forest) <= max(150, 3 * len(forest))
+        assert len(emptied) > 10
         assert forest._slots == allocated_slots(forest) - len(forest._subst)
-        assert 0 < len(forest._subst) < stored_slots(forest)
-        assert stored_slots(forest) <= allocated_slots(forest) <= 150
+        assert stored_slots(forest) <= allocated_slots(forest)
         rows = forest._rows.values()
         assert rows and all(max(row) >= 0 for row in rows)  # no empty rows kept
         self._all_stored_agree(forest)
 
-    def test_a_row_past_the_cap_takes_no_slot(self):
+    def test_a_row_past_the_cap_empties_the_memos(self):
         x = Node(a, Node(b, LEAF_F, LEAF_T), LEAF_U)
         want = mf(subst_tf(x, LEAF_T, LEAF_U))
         # The fill of x's row opens its child's row first and widens the
         # reduce lists of both atoms: the room this takes is the cap.  With
-        # it, either memo fits alone; after subst's two entries, x's row no
-        # longer fits and is never opened.
+        # it, either memo fits alone; the second to fill finds no room,
+        # empties the memos and stores.
         uncapped = MemForest()
         uncapped.subst_vector(uncapped.from_tree(x), [uncapped.T], uncapped.U)
         room = allocated_slots(uncapped)
@@ -440,14 +462,13 @@ class TestMemRows:
                      lambda: forest.subst_vector(x_, [t], u)[0]]
             for read in reads[::-1] if rows_first else reads:
                 assert forest.to_tree(read()) == want
-            if rows_first:
-                assert not forest._subst
-                assert list(forest._rows) == [(child, u), (x_, u)]
-                assert allocated_slots(forest) == room
-            else:
+            if rows_first:  # subst's first entry emptied both rows
                 assert list(forest._subst) == [(child, t, u), (x_, t, u)]
-                assert (x_, u) not in forest._rows
-                assert allocated_slots(forest) <= room
+                assert not forest._rows
+            else:  # x's row emptied subst's entries and its child's row
+                assert not forest._subst
+                assert list(forest._rows) == [(x_, u)]
+            assert allocated_slots(forest) <= room
             assert forest._slots == allocated_slots(forest) - len(forest._subst)
 
     def test_a_row_widens_in_place_only_under_the_cap(self):
@@ -462,13 +483,19 @@ class TestMemRows:
         big = [forest.from_tree(t) for t in three]
         assert len(forest) > width
         want = [mf(subst_tf(two[40], y, two[7])) for y in three]
-        forest.CACHE_MAX = allocated_slots(forest)  # no room to widen
-        assert list(map(forest.to_tree, forest.subst_vector(c_, big, r_))) == want
-        assert forest._rows[c_, r_] is row and len(row) == width
-        forest.CACHE_MAX = Forest.CACHE_MAX
         assert list(map(forest.to_tree, forest.subst_vector(c_, big, r_))) == want
         assert forest._rows[c_, r_] is row and len(row) == len(forest)
         assert all(row[x] >= 0 for x in big)
+        # With no room to widen, the memos are emptied and the row is
+        # opened whole.
+        more = Node("c", LEAF_T, LEAF_F)
+        big.append(forest.from_tree(more))
+        want.append(mf(subst_tf(two[40], more, two[7])))
+        n, forest.CACHE_MAX = len(forest), allocated_slots(forest)
+        assert list(map(forest.to_tree, forest.subst_vector(c_, big, r_))) == want
+        wider = forest._rows[c_, r_]
+        assert wider is not row and len(wider) == n > len(row)
+        assert wider[:len(row)] == row
         assert forest._slots == allocated_slots(forest) - len(forest._subst)
 
     def test_branch_rows_agree_with_mf_of_subst(self):
@@ -490,8 +517,9 @@ class TestMemRows:
                 assert forest.to_tree(then) == mf(subst_tf(c, y, x))
                 assert forest.to_tree(orelse) == mf(subst_tf(c, x, y))
         assert not any(p < 3 for p, _ in forest._rows)
-        # The subst memo holds the negations only.
-        assert all(key[1:] == (forest.F, forest.T) for key in forest._subst)
+        # The subst memo holds the negations and the fills of U's slots.
+        assert all(key[1:] == (forest.F, forest.T) or key[1] == forest.U
+                   for key in forest._subst)
         assert forest._slots == allocated_slots(forest) - len(forest._subst)
         rows = forest._rows.values()
         assert all(max(row) >= 0 for row in rows)  # kept from the first entry on
@@ -561,7 +589,9 @@ class TestMemRows:
         assert forest._rows[grown] is row and width < len(row) <= len(forest)
         for p, r in (grown, fresh):
             assert all(forest._rows[p, r][x] >= 0 for x in big)
-        assert len(forest._rows) > 2 and not forest._subst
+        # Only the slots of U went through subst.
+        assert len(forest._rows) > 2 and forest._subst
+        assert all(q == forest.U for _, q, _ in forest._subst)
         self._all_stored_agree(forest)
 
 

@@ -218,7 +218,8 @@ def test_the_checks_see_import_time_forests_and_the_mem_flag():
 def test_no_engine_state_on_import_and_no_mem_flag():
     # axioms._MEM_FOREST is shared by every memorising sweep in the process:
     # perfbench's sweep calls check_schema once per schema, and a forest per
-    # check made the memorising checks 58-107% slower.  It goes once the
+    # check made the memorising checks slower (1.62-2.25 s against
+    # 1.14-1.74 s; a forest per table matched shared).  It goes once the
     # sweep can be handed a forest by its caller.
     built = [f"{path.stem}.{name}" for path in MODULES
              for name in forests_built_on_import(path.read_text())]
