@@ -225,9 +225,9 @@ _MEMO_MAX = 65_536
 
 # A free sweep's outer level rolls back to its node count at entry after a
 # digit once this many nodes were built since.  CP and EqFSCL at k=2 in
-# one process peak at 163 MB unbounded, 49 MB at 100,000, 30 MB here (under
-# the memorising forest's ~32 MB) and 18 MB at 3,000, where they take
-# 3.3-4.8 s against 2.0-2.5 s here (4 runs each, process time), as each
+# one process peak at 150 MB unbounded, 43 MB at 100,000, 30 MB here (the
+# memorising sweep tables alone: 23 MB) and 18 MB at 3,000, where they take
+# 3.1-3.5 s against 1.7-2.0 s here (2 runs each, process time), as each
 # rollback empties every memo, compiled program and kept column.  Rolling
 # back after every digit makes EqFSCL/F7 slower (0.91-1.53 s against
 # 0.68-1.12 s): its columns are dropped before most are read again.

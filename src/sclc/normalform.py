@@ -66,28 +66,27 @@ class Forest:
     """Hash-consed decision DAG with memoized normalization steps, for free
     congruence: trees are integer ids, the leaves T, F and U are 0, 1 and 2.
     A BDD unique table (Bryant, IEEE TC 1986), but nodes are only shared,
-    never merged: T <| a |> T keeps its a.  Per node, a bitmask of the atoms
-    at and below it lets reduce() skip subtrees without its atom.  subst is
-    memoised in one dict.  subst_vector compiles a vector cond into a
-    program over its distinct nodes in id order, kept by the cond's ids, so
-    a repeated cond is rebuilt without walking its DAG again.  Under vector
-    branches it keeps a column per node, kept by the branch vector, so a
-    node under several conds is built once per branch vector.  Programs
-    and branch vectors are kept up to PROGRAMS_MAX of each at a time.
-    Every memo is a cache, emptied when full or on a rollback; node ids
-    stay until a rollback forgets them."""
+    never merged: T <| a |> T keeps its a.  subst is memoised in one dict.
+    subst_vector compiles a vector cond into a program over its distinct
+    nodes in id order, kept by the cond's ids, so a repeated cond is
+    rebuilt without walking its DAG again.  Under vector branches it keeps
+    a column per node, kept by the branch vector, so a node under several
+    conds is built once per branch vector.  Programs and branch vectors
+    are kept up to PROGRAMS_MAX of each at a time.  Every memo is a cache,
+    emptied when full or on a rollback (_forget); node ids stay until a
+    rollback forgets them."""
 
     # Bounds the subst memo's entries plus a MemForest's row slots, filled
     # or not, and reduce lists: a count of entries, not bytes (3 M subst
     # entries take about 0.6 GB in a plain dict).  An entry or a row fill
-    # that would pass it first empties all three (_forget) and then goes
+    # that would pass it first empties every memo (_forget) and then goes
     # on: the memos are caches, node ids stay.  CPmem at k=2, two- and
     # then three-valued, takes 2.48 M; the catalogue of valid tables
     # (tools/catalogue.py) passes the bound in EqMSCL-consequences.
     CACHE_MAX = 3_000_000
     # Bounds the compiled programs of subst_vector, and apart from them the
     # branch vectors it keeps columns for, each cleared when full.  The
-    # seven sweep tables at k=2 in one process peak at 29.9-30.0 MB RSS at
+    # seven sweep tables at k=2 in one process peak at 29.5-29.7 MB RSS at
     # this bound, at 1,024 and at 4,096.  Rollbacks clear both before larger
     # bounds fill: at all three CP compiles 2,100 programs for 28,214 vector
     # conds, and EqFSCL 81 for 5,558 and columns for 1,264 branch vectors
@@ -100,14 +99,12 @@ class Forest:
     def __init__(self):
         self._ids: dict[tuple[str, int, int], int] = {}
         self._rev: list[tuple[str, int, int] | None] = [None, None, None]
-        self._mask: list[int] = [0, 0, 0]
-        self._bits: dict[str, int] = {}
         self._trees: dict[int, BasicForm] = {0: LEAF_T, 1: LEAF_F, 2: LEAF_U}
         self._subst: dict[tuple[int, int, int], int] = {}
-        self._reduce: dict[tuple[int, str, bool], int] = {}
         self._programs: dict[tuple[int, ...], tuple] = {}  # by _program
         # subst_vector's columns, by the distinct (q_i, r_i) and then by id.
         self._columns: dict[tuple[tuple[int, int], ...], dict[int, list[int]]] = {}
+        self._memos: list[dict] = [self._subst, self._programs, self._columns]
 
     def node(self, atom: str, on_true: int, on_false: int) -> int:
         key = (atom, on_true, on_false)
@@ -115,8 +112,6 @@ class Forest:
         if i is None:
             i = self._ids[key] = len(self._rev)
             self._rev.append(key)
-            bit = self._bits.setdefault(atom, 1 << len(self._bits))
-            self._mask.append(bit | self._mask[on_true] | self._mask[on_false])
         return i
 
     def __len__(self) -> int:  # ids handed out, the leaves included
@@ -128,16 +123,15 @@ class Forest:
         objects of older ids."""
         for _ in range(len(self._rev) - nodes):
             self._ids.popitem()
-        del self._rev[nodes:], self._mask[nodes:]
+        del self._rev[nodes:]
         self._forget()
-        self._reduce.clear()
-        self._programs.clear()
-        self._columns.clear()
         self._trees = {x: t for x, t in self._trees.items() if x < nodes}
 
     def _forget(self) -> None:
-        """Empty the memos that CACHE_MAX bounds."""
-        self._subst.clear()
+        """Empty every memo (_memos) and count no row or reduce-list slot."""
+        for memo in self._memos:
+            memo.clear()
+        self._slots = 0
 
     def from_tree(self, t: BasicForm) -> int:
         return fold_tree(t, lambda leaf: "TFU".index(leaf.value), self.node)
@@ -222,7 +216,7 @@ class Forest:
         vec_p, vec_q, vec_r = isinstance(p, list), isinstance(q, list), isinstance(r, list)
         if vec_p == (vec_q or vec_r) or not vec_p and p < 3:
             return self._each(p, q, r)
-        ids, rev, mask, bits = self._ids, self._rev, self._mask, self._bits
+        ids, rev = self._ids, self._rev
         if vec_p:  # one pass over a flat list of values, slot by slot
             steps, outs = self._program(tuple(p))
             values = [q, r, self.U]
@@ -232,7 +226,6 @@ class Forest:
                 if i is None:
                     i = ids[key] = len(rev)
                     rev.append(key)
-                    mask.append(bits[atom] | mask[key[1]] | mask[key[2]])
                 values.append(i)
             return list(map(values.__getitem__, outs))
         # A column per node, over the distinct (q_i, r_i) pairs.
@@ -247,14 +240,12 @@ class Forest:
                 self.U: [self.U] * len(pairs)}
         for x in self._below((p,), columns):
             atom, t, f = rev[x]
-            bit = bits[atom]
             column = []
             for key in zip(repeat(atom), columns[t], columns[f]):
                 i = ids.get(key)
                 if i is None:
                     i = ids[key] = len(rev)
                     rev.append(key)
-                    mask.append(bit | mask[key[1]] | mask[key[2]])
                 column.append(i)
             columns[x] = column
         if len(pairs) == len(q if vec_q else r):  # no pair repeats: in order
@@ -294,6 +285,47 @@ class Forest:
             program = self._programs[p] = steps, [slots[x] for x in p]
         return program
 
+
+class MemForest(Forest):
+    """A Forest for memorising congruence: node(a, t, f) first reduces t by
+    a = T and f by a = F, so fold, subst and from_tree give mem-basic forms
+    (from_tree is mf).  It also keeps a then-row per (p, r) for vector
+    branches: subst(p, x, r) for each id x, in an array('i') indexed by x,
+    as wide as the forest when opened and widened in place as it grows (a
+    dense computed table, Brace, Rudell and Bryant, DAC 1990).  A row's new
+    slots are filled whole (_row), all but the slot of U, which holds -1
+    until its first read, then subst(p, U, r): filled up front, it would
+    build U-forms in a two-valued check.  As x <| p |> y = y <| not p |> x,
+    an else vector reads the then-row of the negated cond, so one row kind
+    serves both branches.  Per node, a bitmask of the atoms at and below it
+    lets reduce() skip subtrees without its atom.  The reduce memo, rows
+    and reduce lists are emptied with every other memo (_forget)."""
+
+    FORM = "mbf"
+
+    def __init__(self):
+        super().__init__()
+        self._mask: list[int] = [0, 0, 0]
+        self._bits: dict[str, int] = {}
+        self._reduce: dict[tuple[int, str, bool], int] = {}
+        self._rows: dict[tuple[int, int], array] = {}
+        # reduce(x, atom, assume) for each id x, by (atom, assume): the two
+        # reductions of node() for a whole row at once.
+        self._reduced: dict[tuple[str, bool], list[int]] = {}
+        self._memos += [self._reduce, self._rows, self._reduced]
+
+    def node(self, atom: str, on_true: int, on_false: int) -> int:
+        t, f = self.reduce(on_true, atom, True), self.reduce(on_false, atom, False)
+        i = Forest.node(self, atom, t, f)
+        if i == len(self._mask):  # a new id
+            bit = self._bits.setdefault(atom, 1 << len(self._bits))
+            self._mask.append(bit | self._mask[t] | self._mask[f])
+        return i
+
+    def rollback(self, nodes: int) -> None:
+        super().rollback(nodes)
+        del self._mask[nodes:]
+
     def reduce(self, p: int, atom: str, assume: bool) -> int:
         if not self._mask[p] & self._bits.get(atom, 0):
             return p
@@ -308,40 +340,6 @@ class Forest:
                                 self.reduce(f, atom, assume))
             self._reduce[key] = out
         return out
-
-
-class MemForest(Forest):
-    """A Forest for memorising congruence: node(a, t, f) first reduces t by
-    a = T and f by a = F, so fold, subst and from_tree give mem-basic forms
-    (from_tree is mf).  It also keeps a then-row per (p, r) for vector
-    branches: subst(p, x, r) for each id x, in an array('i') indexed by x,
-    as wide as the forest when opened and widened in place as it grows (a
-    dense computed table, Brace, Rudell and Bryant, DAC 1990).  A row's new
-    slots are filled whole (_row), all but the slot of U, which holds -1
-    until its first read, then subst(p, U, r): filled up front, it would
-    build U-forms in a two-valued check.  As x <| p |> y = y <| not p |> x,
-    an else vector reads the then-row of the negated cond, so one row kind
-    serves both branches.  Rows and reduce lists are emptied with the
-    subst memo (_forget)."""
-
-    FORM = "mbf"
-
-    def __init__(self):
-        super().__init__()
-        self._rows: dict[tuple[int, int], array] = {}
-        # reduce(x, atom, assume) for each id x, by (atom, assume): the two
-        # reductions of node() for a whole row at once.
-        self._reduced: dict[tuple[str, bool], list[int]] = {}
-
-    def node(self, atom: str, on_true: int, on_false: int) -> int:
-        return Forest.node(self, atom, self.reduce(on_true, atom, True),
-                           self.reduce(on_false, atom, False))
-
-    def _forget(self) -> None:
-        self._subst.clear()
-        self._rows.clear()
-        self._reduced.clear()
-        self._slots = 0
 
     def subst_vector(self, p, q, r) -> list[int]:
         """As Forest.subst_vector but with no program or column, which
@@ -407,8 +405,8 @@ class MemForest(Forest):
         keys = list(zip(repeat(atom), map(reds[0].__getitem__, ts),
                         map(reds[1].__getitem__, es)))
         slots = list(map(self._ids.get, keys))
-        if None in slots:  # node() for the misses, its reductions done
-            slots = [Forest.node(self, *key) if i is None else i
+        if None in slots:  # node() for the misses: reduced, so mask skips
+            slots = [self.node(*key) if i is None else i
                      for i, key in zip(slots, keys)]
         if lo:
             row.extend(slots)
@@ -461,7 +459,9 @@ def reduce(p: BasicForm, atom: str, assume: bool) -> BasicForm:
     false-branches (right-a-reduction); other nodes are rebuilt as is.
     """
     f = Forest()
-    return f.to_tree(f.reduce(f.from_tree(p), atom, assume))
+    return f.to_tree(fold_tree(p, lambda leaf: "TFU".index(leaf.value),
+                               lambda a, t, e: (t if assume else e) if a == atom
+                               else f.node(a, t, e)))
 
 
 def mf(p: BasicForm) -> BasicForm:

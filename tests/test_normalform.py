@@ -9,13 +9,15 @@ from conftest import (
     allocated_slots, all_valuations, fresh_python, random_basic_form,
     random_term, stored_slots, stored_substs,
 )
-from sclc.congruence import TruthValue3, eval_tree, to_dot, trace_eval
+from sclc import axioms
+from sclc.axioms import check_schema, table_by_name
+from sclc.congruence import MEM, TruthValue3, eval_tree, to_dot, trace_eval
 from sclc.errors import DepthLimitError, InvariantError, OpenTermError
 from sclc.nandform import nand_nf
 from sclc.normalform import (
     LEAF_F, LEAF_T, LEAF_U, Forest, Leaf, MemBasicForm, MemForest, Node, bf,
-    enumerate_mem_basic, is_mem_basic, mbf, mf, reduce, render, subst_tf,
-    to_json,
+    enumerate_mem_basic, fold_tree, is_mem_basic, mbf, mf, reduce, render,
+    subst_tf, to_json,
 )
 from sclc.syntax import (
     DEFAULT_DEPTH_LIMIT, And, Atom, Cond, Iff, Not, Or, Var, Xor, parse,
@@ -175,6 +177,21 @@ class TestReduce:
     def test_leaf_fixed(self):
         assert reduce(LEAF_U, a, True) == LEAF_U
 
+    def test_matches_a_recursive_reduction(self):
+        def recursive(p, atom, assume):
+            if isinstance(p, Leaf):
+                return p
+            if p.atom == atom:
+                return recursive(p.on_true if assume else p.on_false, atom, assume)
+            return Node(p.atom, recursive(p.on_true, atom, assume),
+                        recursive(p.on_false, atom, assume))
+
+        rng = random.Random(19)
+        for i in range(600):
+            p = random_basic_form(rng, (a, b, "c"), 5, undef=i % 2 == 1)
+            for atom, assume in itertools.product((a, b, "d"), (True, False)):
+                assert reduce(p, atom, assume) == recursive(p, atom, assume)
+
 
 class TestMf:
     def test_worked_example(self):
@@ -230,27 +247,78 @@ class TestMemorisingForest:
         assert forest.from_tree(tree) == 5
         assert forest._rev[3:] == [(b, 0, 1), ("c", 1, 2), (a, 3, 4)]
 
+    def test_masks_name_the_atoms_below(self, monkeypatch):
+        # Every id gets its mask in MemForest.node: the ids of subst as
+        # nand_nf runs it, of a memorising check, of row misses, and new
+        # ids after a rollback.
+        forest = MemForest()
+
+        def masks_name_the_atoms_below():
+            bits = forest._bits
+            assert len(forest._mask) == len(forest)
+            for x in range(len(forest)):
+                atoms = fold_tree(forest.to_tree(x), lambda leaf: 0,
+                                  lambda atom, t, e: bits[atom] | t | e)
+                assert forest._mask[x] == atoms
+
+        rng = random.Random(23)
+        ids = [forest.from_tree(random_basic_form(rng, (a, b, "c"), 4, True))
+               for _ in range(20)]
+        T, F = forest.T, forest.F
+        for p, q in zip(ids, ids[1:]):  # p ~& q, as nand_nf builds it
+            forest.subst(p, forest.subst(q, F, T), T)
+        masks_name_the_atoms_below()
+        monkeypatch.setattr(axioms, "_MEM_FOREST", forest)
+        check_schema(table_by_name("CPmem").schemas[1], MEM, "exhaustive",
+                     budget=5_000)
+        masks_name_the_atoms_below()
+        # The check's rows widened to forms in atoms new to the forest: a
+        # then-row's slot at such a form is a new id, built on a miss.
+        xs = [forest.from_tree(Node("f", LEAF_T, Node("g", LEAF_U, LEAF_F)))]
+        conds, nodes = list(forest._rows)[:10], len(forest)
+        for p, r in conds:
+            forest.subst_vector(p, xs, r)
+        assert len(forest) > nodes
+        masks_name_the_atoms_below()
+        forest.from_tree(random_basic_form(rng, (a, b, "d"), 5, False))
+        forest.rollback(nodes)
+        for p, q in zip(ids, ids[2:]):
+            forest.subst(p, q, forest.from_tree(
+                random_basic_form(rng, (b, "d", "e"), 3, True)))
+        assert len(forest) > nodes
+        masks_name_the_atoms_below()
+
 
 def _exercise(forest, trees):
-    """from_tree, subst, reduce and to_tree over trees; the trees built."""
+    """from_tree, subst and to_tree over trees, and reduce in a MemForest,
+    the only kind that has it; the trees built."""
     ids = [forest.from_tree(t) for t in trees]
     out = []
     for p, q, r in zip(ids, ids[1:], ids[2:]):
         s = forest.subst(p, q, r)
-        out += [forest.to_tree(s), forest.to_tree(forest.reduce(s, a, True)),
-                forest.to_tree(forest.reduce(p, b, False))]
+        out.append(forest.to_tree(s))
+        if isinstance(forest, MemForest):
+            out += [forest.to_tree(forest.reduce(s, a, True)),
+                    forest.to_tree(forest.reduce(p, b, False))]
     return out
 
 
 class TestCheckpoint:
     @staticmethod
     def _unique_table(forest):
-        return list(forest._ids.items()), list(forest._rev), list(forest._mask)
+        table = [list(forest._ids.items()), list(forest._rev)]
+        if isinstance(forest, MemForest):
+            table.append(list(forest._mask))
+        return table
 
     @staticmethod
     def _memos(forest):
-        return [forest._subst, forest._reduce, forest._programs, forest._columns,
-                *(getattr(forest, memo, {}) for memo in ("_rows", "_reduced"))]
+        # Every dict the forest holds is a memo but the unique table, the
+        # Node objects and a MemForest's atom bits, which a rollback keeps.
+        held = {id(v) for k, v in vars(forest).items() if isinstance(v, dict)
+                and k not in ("_ids", "_trees", "_bits")}
+        assert held == set(map(id, forest._memos))
+        return forest._memos
 
     def test_rollback_restores_the_marked_forest(self):
         rng = random.Random(31)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import sclc
+from sclc import normalform
 
 MODULES = sorted(p for p in Path(sclc.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")  # __init__ imports to re-export
@@ -126,7 +127,7 @@ def test_only_these_functions_recurse():
              for name in self_recursive(path.read_text())}
     assert found == {
         "normalform.Forest.fold.go", "normalform.Forest.subst",
-        "normalform.Forest.reduce", "normalform.MemForest._row",
+        "normalform.MemForest.reduce", "normalform.MemForest._row",
         "normalform.enumerate_mem_basic.forms",
         "congruence.trace_eval.ev", "congruence.eval_tree.go",
         "axioms._exhaustive.run_level",
@@ -167,6 +168,32 @@ def test_a_forests_internals_stay_in_normalform():
     found = [f"{path.stem}.{use}" for path in MODULES
              for use in private_accesses(path.read_text())]
     assert found == []
+
+
+def self_attributes(source: str, cls: str) -> set[str]:
+    """The attributes self.x that the methods of the top-level class named
+    cls read or write."""
+    return {node.attr for top in ast.parse(source).body
+            if isinstance(top, ast.ClassDef) and top.name == cls
+            for node in ast.walk(top) if isinstance(node, ast.Attribute)
+            and getattr(node.value, "id", None) == "self"}
+
+
+def test_the_check_finds_self_attributes():
+    source = ("class K:\n    def m(self, f):\n        self._a = f._b\n"
+              "        return self.c(self._d[0])\n"
+              "class L:\n    def m(self): return self._e\n")
+    assert self_attributes(source, "K") == {"_a", "c", "_d"}
+
+
+def test_the_free_forest_keeps_no_memorising_state():
+    # The atom masks and the reduce memo serve only the memorising rule,
+    # which MemForest.node applies: Forest neither keeps nor reads them.
+    source = (Path(sclc.__file__).parent / "normalform.py").read_text()
+    memorising = {"_mask", "_bits", "_reduce", "reduce"}
+    assert self_attributes(source, "Forest") & memorising == set()
+    assert self_attributes(source, "MemForest") >= memorising
+    assert "reduce" not in vars(normalform.Forest)
 
 
 def forests_built_on_import(source: str) -> list[str]:
