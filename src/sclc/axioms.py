@@ -7,15 +7,19 @@ unconditionally sound); the exhaustive strategy additionally sweeps every
 tuple of mem-basic forms over a small shared alphabet, as independent
 evidence that does not presuppose substitution-invariance.
 
-The sweep evaluates both sides as Forest.subst nodes over forest ids, one
-loop level per variable.  A node is computed in the loop of the last
-variable it reads, the innermost one aside; before the loops if it reads
-no other.  A cond with a loop strictly between the last two variables it
-reads (or before the only one) keeps a table from the digit of the last
-to its value, so the loops in between cost it one lookup a digit.  The
-table is cleared at each digit of the other variable, and never if there
-is none, so it holds at most one entry per digit of one loop.  A node that
-reads the innermost variable is a vector of one value per digit of it,
+The sweep evaluates both sides as Forest.subst nodes over forest ids.  It
+counts through the tuples as a mixed-radix odometer, one level per
+variable, the last varying fastest (Knuth, TAOCP 4A, 7.2.1.1, Algorithm
+M); a level's digit is a position in its variable's permuted domain, and
+after each step only the levels from the one that changed inward are
+recomputed.  A node is computed at the level of the last variable it
+reads, the innermost one aside; before the sweep if it reads no other.  A
+cond with a level strictly between the last two variables it reads (or
+before the only one) keeps a table from the digit of the last to its
+value, so the levels in between cost it one lookup a digit.  The table is
+cleared at each digit of the other variable, and never if there is none,
+so it holds at most one entry per digit of one level.  A node that reads
+the innermost variable is a vector of one value per digit of it,
 computed by subst_vector, and the innermost level only compares the two
 sides' vectors.  Memorising sweeps share one MemForest, where every value
 is one of finitely many mem-basic forms.  It memoises subst as a Forest
@@ -32,10 +36,11 @@ when the check returns, and computes a vector cond by one run of a
 bottom-up program compiled from the cond and kept by its ids, and a cond
 with vector branches from columns kept per branch vector and node, so a
 node under several conds is built once per branch vector
-(Forest.subst_vector); each outer loop level notes the forest's node count
-and, once the forest has grown a fixed bound past it, rolls back to it
-after a digit (Forest.rollback), which empties the forest's memos, and
-clears the tables of that level and the ones inside it.  Every memo is a
+(Forest.subst_vector); each outer level notes the forest's node count
+when its digit starts from the first and, once the forest has grown a
+fixed bound past it, rolls back to it as the digit advances
+(Forest.rollback), which empties the forest's memos, and clears the
+tables of that level and the ones inside it.  Every memo is a
 cache, emptied when it reaches its bound or on a rollback and refilled by
 later misses; node ids stay until a rollback forgets them.
 """
@@ -317,27 +322,19 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
 
     nodes, top_l, top_r = _compile(schema, variables, forest)
 
-    # A node's level is the largest index among the variables it reads, the
-    # innermost one left out: the node is computed at each digit of that
-    # loop level, and level -1 nodes once, before the loops.  A cond with a
-    # loop strictly between its level and the level of the variable it
-    # reads before that one (-1 if none) keeps a table from the digit of its
-    # level to its value: the loops between repeat those digits, which then
-    # cost one lookup.  The table is cleared at each digit of that earlier
-    # variable (never if there is none), so it holds at most one entry per
-    # digit of its level; a free sweep's rollback at level j also clears
-    # the tables at levels >= j.
-    # A node that reads the innermost variable is a vector, one value per
-    # digit of it; that variable's slot holds its whole permuted domain from
-    # the start, and the innermost level only compares the two tops' first
-    # n entries (or sees one interned vector twice).  Each cond keeps the
-    # function that computes it: Forest.subst for scalars; for a vector the
-    # check's _VectorMemo in a memorising sweep, else Forest.subst_vector,
-    # with its kept programs and columns.  The node list is in dependency
-    # order, which the split keeps.
+    # A node's level is the largest index among the outer variables it
+    # reads; level -1 nodes are computed once, here.  A cond with a level
+    # strictly between its own and the next lower one it reads (-1 if none)
+    # keeps a table keyed by its own level's digit, cleared at each digit
+    # of that lower level (clear_at; never if it is -1) and by a rollback
+    # at or outside its own level.  The innermost variable's slot holds
+    # its whole permuted domain.  Each cond keeps the function that
+    # computes it: Forest.subst for scalars; for a vector the check's
+    # _VectorMemo in a memorising sweep, else Forest.subst_vector.  The op
+    # list is in dependency order, which the split keeps.
     last = nvars - 1
     size = len(domain)
-    perms = [_permutation(j, size) for j in range(nvars)]
+    values = [[domain[d] for d in _permutation(j, size)] for j in range(nvars)]
     reads: list[set[int]] = []  # the outer variables each node reads
     is_vector: list[bool] = []
     var_sets: list[list[int]] = [[] for _ in range(nvars)]
@@ -357,7 +354,7 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
             reads.append(set() if inner else {op[1]})
             is_vector.append(inner)
             if inner:
-                slots[i] = [domain[d] for d in perms[last]]
+                slots[i] = values[last]
                 if mem:
                     slots[i] = subst_vector.intern(slots[i])
             else:
@@ -381,65 +378,59 @@ def _exhaustive(schema: Schema, mode: Mode, k: int, budget: int) -> CheckResult:
     space = size ** nvars
     limit = min(space, budget)
     checked = 0
-    bad_env: list[int] | None = None
-    env = [0] * nvars
-
-    def run_level(j: int) -> bool:
-        """Loop one variable, the innermost one as a vector; returns True
-        to stop (refuted or budget hit)."""
-        nonlocal checked, bad_env
-        if j == last:
-            n = min(size, limit - checked)
-            lhs, rhs = slots[top_l], slots[top_r]
-            if lhs is not rhs:  # e.g. one interned vector: equal
-                lhs, rhs = (v[:n] if isinstance(v, list) else [v] * n
-                            for v in (lhs, rhs))
-                if lhs != rhs:
-                    pos = next(p for p in range(n) if lhs[p] != rhs[p])
-                    checked += pos + 1
-                    bad_env = env[:j] + [perms[j][pos]]
-                    return True
-            checked += n
-            return checked >= limit
-        var_slots = var_sets[j]
-        level_conds = conds[j]
-        level_tables = clear_at[j]
-        nodes = None if mem else len(forest)
-        for digit in perms[j]:
-            env[j] = digit
-            value = domain[digit]
-            for i in var_slots:
+    bad: list[int] | None = None
+    pos = [0] * last  # each outer level's digit: a position in values[j]
+    marks = [0] * last  # a free level's node count on entry
+    j = 0  # the outermost level whose digit changed
+    while True:
+        while j < last:
+            d = pos[j]
+            if d == 0 and not mem:
+                marks[j] = len(forest)
+            value = values[j][d]
+            for i in var_sets[j]:
                 slots[i] = value
-            for table in level_tables:
+            for table in clear_at[j]:
                 table.clear()
-            for i, fn, a, b, c, table in level_conds:
+            for i, fn, a, b, c, table in conds[j]:
                 if table is None:
                     slots[i] = fn(slots[a], slots[b], slots[c])
-                elif (out := table.get(digit)) is not None:
+                elif (out := table.get(d)) is not None:
                     slots[i] = out
                 else:
-                    slots[i] = table[digit] = fn(slots[a], slots[b], slots[c])
-            if run_level(j + 1):
-                return True
-            if nodes is not None and len(forest) - nodes > _ROLLBACK_NODES:
-                forest.rollback(nodes)  # outer slots predate it
+                    slots[i] = table[d] = fn(slots[a], slots[b], slots[c])
+            j += 1
+        n = min(size, limit - checked)
+        lhs, rhs = slots[top_l], slots[top_r]
+        if lhs is not rhs:  # e.g. one interned vector: equal
+            lhs, rhs = (v[:n] if isinstance(v, list) else [v] * n
+                        for v in (lhs, rhs))
+            if lhs != rhs:
+                p = next(p for p in range(n) if lhs[p] != rhs[p])
+                checked += p + 1
+                bad = pos + [p]
+                break
+        checked += n
+        if checked >= limit:  # at the last tuple at the latest
+            break
+        # Carry from the innermost outer level, where the loop above left j;
+        # the check above ends the sweep before level 0 can wrap.
+        while True:
+            j -= 1
+            if not mem and len(forest) - marks[j] > _ROLLBACK_NODES:
+                forest.rollback(marks[j])  # outer slots predate it
                 for level in conds[j:]:  # their tables may name dropped ids
                     for *_, table in level:
                         if table is not None:
                             table.clear()
-        return False
+            pos[j] += 1
+            if pos[j] < size:
+                break
+            pos[j] = 0
 
-    if nvars == 0:
-        checked = 1
-        if slots[top_l] != slots[top_r]:
-            bad_env = []
-    else:
-        run_level(0)
-    del run_level  # a cycle through itself that holds a free sweep's forest
-
-    if bad_env is not None:
-        sub = {v: render(forest.to_tree(domain[d]))
-               for v, d in zip(variables, bad_env)}
+    if bad is not None:
+        sub = {v: render(forest.to_tree(values[j][d]))
+               for j, (v, d) in enumerate(zip(variables, bad))}
         lhs_t, rhs_t = instantiate(schema, sub)
         return CheckResult(Verdict.REFUTED_EXHAUSTIVE, count=checked, k=k,
                            witness=sub,

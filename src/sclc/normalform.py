@@ -17,7 +17,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import combinations, product, repeat
 from operator import itemgetter
 
 from .errors import DepthLimitError, InvariantError, OpenTermError
@@ -544,16 +544,14 @@ def enumerate_mem_basic(atoms: tuple[str, ...],
     if len(set(atoms)) < len(atoms) or not all(map(ATOM_RE.match, atoms)):
         raise ValueError(f"bad or repeated atom name in {atoms!r}")
     leaves: list[BasicForm] = [LEAF_T, LEAF_F] + ([LEAF_U] if three_valued else [])
-
-    def forms(alphabet: tuple[str, ...]) -> list[BasicForm]:
-        out = list(leaves)
-        for i, a in enumerate(alphabet):
-            rest = alphabet[:i] + alphabet[i + 1:]
-            sub = forms(rest)
-            out += [Node(a, l, r) for l, r in product(sub, sub)]
-        return out
-
-    try:
-        return forms(atoms)
-    finally:
-        del forms  # forms refers to itself; leave no cycle for the collector
+    # The forms over each sub-alphabet, smallest first, so equal subforms
+    # are one object.
+    forms = {(): leaves}
+    for n in range(1, len(atoms) + 1):
+        for alphabet in combinations(atoms, n):
+            out = list(leaves)
+            for i, a in enumerate(alphabet):
+                sub = forms[alphabet[:i] + alphabet[i + 1:]]
+                out += [Node(a, l, r) for l, r in product(sub, sub)]
+            forms[alphabet] = out
+    return forms[atoms]

@@ -481,7 +481,13 @@ class TestSweepReference:
         # keeps this ceiling well under the unbounded run's size at this
         # budget, which the module's bound would not.
         s = table_by_name("CP").schemas[3]
-        result, tiny, base, _ = self._sweep_sizes(monkeypatch, s, 1)
+        result, tiny, base, rolled = self._sweep_sizes(monkeypatch, s, 1)
+        # The budget ends the 1,352nd outer tuple.  The four outer levels
+        # read the node count on entry, 4 + 18 times, as the innermost of
+        # them starts over 18 times.  After each of the 1,351 full tuples
+        # the carry checks that level's mark, and at each of its wraps the
+        # next level's too; at bound 1 nearly every check rolls back.
+        assert (len(tiny), rolled) == (4 + 18 + 1_351 + 18, 1_360)
         ceiling = base + 5 * (2_000 + max(tiny) - base)
         bounded = self._sweep_sizes(monkeypatch, s, 2_000)
         unbounded = self._sweep_sizes(monkeypatch, s, 10 ** 9)

@@ -114,23 +114,23 @@ def test_the_check_finds_self_recursion():
 
 
 def test_only_these_functions_recurse():
-    # What still recurses on the depth of a tree, a term or a sweep level:
-    # the passes left to move onto explicit stacks.  The printers, from_tree
-    # and is_mem_basic run on syntax.emit and normalform.fold_tree, to_tree
-    # and the compiled programs on Forest._below.  is_mem_basic on the fold
-    # costs about the same on the mbf forms of five of perfbench's chains
-    # families (0.54-0.61 ms against 0.55-0.58 ms, best of 15) and about
-    # 1.8 us more per form on 1,000 small random forms (4.1-4.5 ms against
-    # 2.4-2.5 ms); mbf calls it on every result.  MemForest._row recurses
-    # down its cond's children, as deep as the cond has distinct atoms.
+    # What still recurses on the depth of a tree or a term: the passes left
+    # to move onto explicit stacks.  The printers, from_tree and
+    # is_mem_basic run on syntax.emit and normalform.fold_tree, to_tree and
+    # the compiled programs on Forest._below; the sweep is one odometer
+    # loop, and enumerate_mem_basic builds bottom-up by sub-alphabet.
+    # is_mem_basic on the fold costs about the same on the mbf forms of
+    # five of perfbench's chains families (0.54-0.61 ms against 0.55-0.58
+    # ms, best of 15) and about 1.8 us more per form on 1,000 small random
+    # forms (4.1-4.5 ms against 2.4-2.5 ms); mbf calls it on every result.
+    # MemForest._row recurses down its cond's children, as deep as the cond
+    # has distinct atoms.
     found = {f"{path.stem}.{name}" for path in MODULES
              for name in self_recursive(path.read_text())}
     assert found == {
         "normalform.Forest.fold.go", "normalform.Forest.subst",
         "normalform.MemForest.reduce", "normalform.MemForest._row",
-        "normalform.enumerate_mem_basic.forms",
         "congruence.trace_eval.ev", "congruence.eval_tree.go",
-        "axioms._exhaustive.run_level",
     }
 
 
